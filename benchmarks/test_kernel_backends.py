@@ -1,4 +1,4 @@
-"""Per-pattern backend timing: numpy vs scatter vs codegen vs sparse.
+"""Per-pattern backend timing: numpy vs sparse.
 
 The engine registry makes the backends interchangeable; this bench measures
 what that choice costs.  Every registered stencil operator is timed under
@@ -8,13 +8,12 @@ step), and the measurements are emitted both as a rendered table and as
 machine-readable JSON (``results/kernel_backends.json``) for downstream
 comparison — the start of the recorded backend-vs-backend perf trajectory.
 
-The scatter backend is the Algorithm 2 loop transcription, so the expected
-ordering — and the paper's Section III-A motivation for the gather refactor —
-is scatter >> numpy ~ codegen.  The sparse backend replaces the per-call
-gather + reduce with one precompiled CSR matvec, so in aggregate over its
-native ops it must beat the numpy gathers (asserted on the top ladder
-level); the margin grows with mesh size as the gather temporaries stop
-fitting in cache.
+The sparse backend replaces the per-call gather + reduce with one
+precompiled CSR matvec, so in aggregate over its native ops it must beat
+the numpy gathers (asserted on the top ladder level); the margin grows with
+mesh size as the gather temporaries stop fitting in cache.  The Algorithm 2
+loop/scatter forms the gather refactor replaced are timed by the Fig. 6
+optimization-ladder bench, which calls :mod:`repro.swm.reference` directly.
 """
 
 from __future__ import annotations
@@ -77,11 +76,8 @@ def test_kernel_backend_ladder(benchmark, report):
             for op, kinds in _OPS:
                 fields = _fields(mesh, kinds, rng)
                 for backend in BACKENDS:
-                    # The loop backends are O(points) Python: one repeat is
-                    # plenty; the array backends get more for a stable min.
-                    repeats = 1 if backend == "scatter" else 5
                     seconds, resolved = _time_op(
-                        reg, op, mesh, fields, backend, repeats
+                        reg, op, mesh, fields, backend, repeats=5
                     )
                     records.append(
                         {
@@ -117,28 +113,20 @@ def test_kernel_backend_ladder(benchmark, report):
                     cell += "*"
                 row.append(cell)
             numpy_s = by_key[(op, level, "numpy")]["seconds"]
-            scatter_s = by_key[(op, level, "scatter")]["seconds"]
             sparse_s = by_key[(op, level, "sparse")]["seconds"]
-            row.append(f"{scatter_s / numpy_s:.0f}x")
             row.append(f"{numpy_s / sparse_s:.1f}x")
             rows.append(row)
     report(
         "kernel_backends",
         render_table(
             f"Per-pattern backend timing (levels {levels}; * = numpy fallback)",
-            ["op", "pattern", "cells", *BACKENDS, "scatter/numpy", "numpy/sparse"],
+            ["op", "pattern", "cells", *BACKENDS, "numpy/sparse"],
             rows,
         ),
     )
 
     # Sanity on the measurements themselves.
     assert all(r["seconds"] > 0 for r in records)
-    # The Section III-A story: loop scatter is far slower than the gather
-    # form on every mesh of the ladder for the heavy A-pattern.
-    for level in levels:
-        numpy_s = by_key[("flux_divergence", level, "numpy")]["seconds"]
-        scatter_s = by_key[("flux_divergence", level, "scatter")]["seconds"]
-        assert scatter_s > numpy_s
     # The optimization-ladder story: on the largest mesh, the precompiled
     # matvecs beat the numpy gathers in aggregate over the sparse-native
     # ops (per-op margins vary — the 2-lane means are already one fancy

@@ -4,7 +4,9 @@ The paper's kernel-level design starts from a profile of the original code:
 the heavy kernels (``compute_tend``, ``compute_solve_diagnostics``) go to the
 accelerator.  This bench performs that measurement on the real NumPy model
 and checks the same two kernels dominate, which is what justifies both the
-Figure 2 placement and the cost model's pattern weights.
+Figure 2 placement and the cost model's pattern weights.  The table is built
+from the tracer's kernel spans with the same aggregation as
+``python -m repro.obs.report --kernels``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ from conftest import bench_level
 from repro.bench import render_table
 from repro.constants import GRAVITY
 from repro.mesh import cached_mesh
+from repro.obs import Tracer, use_tracer
+from repro.obs.report import kernel_profile_rows
 from repro.swm import SWConfig, isolated_mountain, suggested_dt
-from repro.swm.profiling import ProfiledIntegrator
 from repro.swm.testcases import initialize
+from repro.swm.timestep import RK4Integrator
+
+STEPS = 5
 
 
 def test_kernel_profile(benchmark, report):
@@ -27,40 +33,44 @@ def test_kernel_profile(benchmark, report):
                    thickness_adv_order=4)
     state, b = initialize(mesh, case)
     f_vertex = cfg.coriolis(mesh.metrics.latVertex)
-    integ = ProfiledIntegrator(mesh, cfg, b, f_vertex)
+    integ = RK4Integrator(mesh, cfg, b, f_vertex)
     diag = integ.diagnostics_for(state)
-    # Warm-up step: pays the one-time per-mesh setup (reconstruction
-    # matrices, deriv_two coefficients), which is not kernel cost.
+    # Warm-up step (untraced): pays the one-time per-mesh setup
+    # (reconstruction matrices, deriv_two coefficients), which is not
+    # kernel cost.
     integ.step(state, diag)
-    integ.profile.reset()
+    tracer = Tracer()
 
     def run_steps():
         s, d = state, diag
-        for _ in range(5):
-            r = integ.step(s, d)
-            s, d = r.state, r.diagnostics
+        with use_tracer(tracer):
+            for _ in range(STEPS):
+                r = integ.step(s, d)
+                s, d = r.state, r.diagnostics
         return s
 
     final = benchmark.pedantic(run_steps, rounds=1, iterations=1)
     assert np.all(np.isfinite(final.h))
 
-    profile = integ.profile
-    rows = profile.table_rows()
     report(
         "kernel_profile",
         render_table(
             f"Measured kernel cost breakdown ({mesh.nCells} cells, "
-            f"{profile.steps} steps, real NumPy kernels)",
+            f"{STEPS} steps, real NumPy kernels)",
             ["kernel", "wall time", "share"],
-            rows,
+            kernel_profile_rows(tracer),
         ),
     )
 
-    fractions = profile.fractions()
+    seconds = tracer.aggregate_names(category="kernel")
+    total = sum(seconds.values())
+    fractions = {k: v / total for k, v in seconds.items()}
     # The Figure 2 rationale: the two stencil-heavy kernels dominate.
     heavy = fractions["compute_tend"] + fractions["compute_solve_diagnostics"]
     assert heavy > 0.6
-    assert profile.dominant() in ("compute_tend", "compute_solve_diagnostics")
+    assert max(seconds, key=seconds.get) in (
+        "compute_tend", "compute_solve_diagnostics"
+    )
     # The local kernels are cheap.
     assert fractions["accumulative_update"] < 0.15
     assert fractions["enforce_boundary_edge"] < 0.05

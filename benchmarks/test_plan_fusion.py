@@ -10,10 +10,7 @@ integrator under three executions of the same arithmetic:
 * ``plan`` — the fused :class:`~repro.engine.plan.ExecutionPlan`: the same
   CSR matvecs as ``sparse`` (bitwise-identical states, asserted here on
   the benchmark mesh too) executed as one compiled stage program with
-  preallocated buffers and zero per-op dispatch;
-* ``plan-algebraic`` — additionally composes the order-4 ``h_edge`` chain
-  into a single matrix (recorded for the trajectory, not asserted: on the
-  default physics there is nothing to compose).
+  preallocated buffers and zero per-op dispatch.
 
 Results land in ``results/plan_fusion.json`` (+ a rendered table), and the
 bench asserts the fused plan does not lose to unfused sparse on whole-step
@@ -39,7 +36,6 @@ MODES = {
     "numpy": dict(backend="numpy"),
     "sparse": dict(backend="sparse"),
     "plan": dict(backend="sparse", plan=True),
-    "plan-algebraic": dict(backend="sparse", plan=True, plan_fuse="algebraic"),
 }
 
 WARMUP_STEPS = 2
@@ -69,7 +65,7 @@ def test_plan_fusion(benchmark, report):
     mesh = cached_mesh(level)
     case = galewsky_jet()
     dt = suggested_dt(mesh, case, 9.80616, cfl=0.5)
-    order = 4  # exercises the fused C1,C2 sweep and the composable chain
+    order = 4  # exercises the fused C1,C2 sweep
     records = []
     states = {}
 

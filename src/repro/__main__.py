@@ -326,6 +326,8 @@ def _cmd_scaling(args: argparse.Namespace) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .engine import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Pattern-driven hybrid MPAS shallow-water reproduction",
@@ -348,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfl", type=float, default=0.6)
     p.add_argument("--order", type=int, default=2, choices=(2, 3, 4))
     p.add_argument(
-        "--backend", default=None,
-        help="engine execution backend (numpy/scatter/codegen/sparse); "
-        "defaults to numpy, or sparse under --plan",
+        "--backend", default=None, choices=BACKENDS,
+        help="engine execution backend; defaults to numpy, or sparse "
+        "under --plan",
     )
     p.add_argument(
         "--plan", action="store_true",

@@ -13,7 +13,6 @@ from .schedule import (
     Segment,
     SubstepSchedule,
     schedule_substep,
-    single_consumer_vars,
     topological_order,
     variable_liveness,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "Segment",
     "SubstepSchedule",
     "schedule_substep",
-    "single_consumer_vars",
     "topological_order",
     "variable_liveness",
     "concurrency_profile",

@@ -11,11 +11,7 @@ plan needs (:mod:`repro.engine.plan`):
   provisional state before the exchange ran), so compute nodes are grouped
   into segments by the set of exchanges they transitively depend on;
 * **liveness** — the definition point and last use of every variable, the
-  input for scratch-buffer reuse;
-* **single-consumer variables** — intermediates read by exactly one
-  downstream instance and never escaping the substep.  These are the only
-  edges across which two linear operators may legally be composed into one
-  matrix (the plan compiler's fusion-legality oracle).
+  input for scratch-buffer reuse.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ __all__ = [
     "schedule_substep",
     "topological_order",
     "variable_liveness",
-    "single_consumer_vars",
     "SYNC_POINT_NAMES",
     "STATIC_SYNC_WHITELIST",
     "SyncPoint",
@@ -352,36 +347,3 @@ def variable_liveness(dfg: DataFlowGraph) -> dict[str, tuple[str | None, str]]:
                 live[var] = (node, node)
     return live
 
-
-def single_consumer_vars(
-    dfg: DataFlowGraph, protected: frozenset[str] = frozenset()
-) -> set[str]:
-    """Variables read by exactly one compute node and not re-exported.
-
-    These intermediates are the only legal fusion seams: composing the
-    producer's matrix into the consumer is unobservable because nothing
-    else ever reads the intermediate.  ``protected`` names variables the
-    *caller* observes even though the graph shows no further reads (the
-    kernel outputs — every Diagnostics field, the tendencies); they are
-    never fusion seams, because eliminating them would change the kernel's
-    visible result set.
-    """
-    consumers: dict[str, set[str]] = {}
-    compute = set(dfg.order)
-    for a, b, data in dfg.graph.edges(data=True):
-        var = data.get("variable")
-        if var is None:
-            continue
-        if b in compute:
-            consumers.setdefault(var, set()).add(b)
-        else:
-            # Read by a halo exchange: escapes the fused program.
-            consumers.setdefault(var, set()).add(f"!{b}")
-    produced = {v for n in dfg.order for v in dfg.instance(n).outputs}
-    out: set[str] = set()
-    for var, readers in consumers.items():
-        if var not in produced or var in protected:
-            continue
-        if len(readers) == 1 and not next(iter(readers)).startswith("!"):
-            out.add(var)
-    return out

@@ -11,37 +11,24 @@ closures over the cached CSR operators and preallocated scratch buffers,
 with the one genuinely non-linear stencil (``coriolis_edge_term``) spliced
 in as a planned stage instead of a per-dispatch fallback branch.
 
-Two fusion modes
-----------------
-``plan_fuse="exact"`` (the default)
-    Executes *exactly* the floating-point expressions of the unfused
-    sparse backend — same matvecs against the same lane-ordered CSR
-    matrices, same elementwise ufunc sequence — only without the
-    per-dispatch overhead, and writing into reused scratch buffers
-    (``out=``, which does not change a ufunc's arithmetic).  The result is
-    **bitwise identical** to the unfused sparse backend in serial,
-    lockstep, pool and split execution.
-``plan_fuse="algebraic"``
-    Additionally composes chains of linear operators into single matrices
-    (e.g. the 4th-order ``h_edge`` operator, the del4 hyperviscosity
-    chain).  Matrix composition reassociates the row sums, so this mode is
-    mathematically equivalent but *not* bitwise identical; the test suite
-    bounds it at ~1e-12 relative.  Composition is only legal across
-    *single-consumer* intermediates (the scheduler's fusion-legality
-    oracle) that no caller observes; the order-3 upwinded correction can
-    never compose because its ``sign(u)`` coefficients depend on the
-    input.
+Exact fusion
+------------
+A plan executes *exactly* the floating-point expressions of the unfused
+sparse backend — same matvecs against the same lane-ordered CSR matrices,
+same elementwise ufunc sequence — only without the per-dispatch overhead,
+and writing into reused scratch buffers (``out=``, which does not change a
+ufunc's arithmetic).  The result is **bitwise identical** to the unfused
+sparse backend in serial, lockstep, pool and split execution.  Plans never
+compose operator chains into product matrices: that reassociates the row
+sums and would break the bitwise contract.
 
 Caching
 -------
 Plans are memoized per mesh in a ``WeakKeyDictionary`` keyed by the
 structure-affecting config fields (:func:`plan_key`).  The CSR operators a
-plan closes over come from the PR 5 two-level operator cache
+plan closes over come from the two-level operator cache
 (:func:`repro.engine.sparse.sparse_operator`: memory + versioned ``.npz``
-on disk); matrices *composed* by the algebraic mode reuse the same
-two-level mechanics under ``cache_dir()/operators/`` with
-:data:`PLAN_CACHE_VERSION` stamped alongside the operator format version —
-a version bump or mesh edit invalidates them exactly like PR 5 operators.
+on disk); a plan itself is never written to disk.
 
 Execution semantics
 -------------------
@@ -84,29 +71,18 @@ Batched plans are memoized next to the serial ones, keyed by
 
 from __future__ import annotations
 
-import os
 import weakref
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.cache import cache_dir
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..resilience.integrity import checked_load, seal
-from .sparse import (
-    OPERATOR_CACHE_VERSION,
-    SPARSE_FALLBACK_OPS,
-    mesh_fingerprint,
-    sparse_operator,
-)
+from .sparse import SPARSE_FALLBACK_OPS, sparse_operator
 from .split import active_placement, placements_active
 
 __all__ = [
-    "PLAN_CACHE_VERSION",
-    "PLAN_FUSE_MODES",
     "PLAN_FALLBACK_OPS",
     "PLANNED_OPS",
     "PLAN_LOCAL_LABELS",
@@ -119,17 +95,8 @@ __all__ = [
     "compile_overlap",
     "compiled_overlap",
     "clear_plan_memory_cache",
-    "plan_cache_path",
     "unplanned_labels",
 ]
-
-#: Format version of compiled-plan disk artifacts (the composed matrices).
-#: Bump whenever the plan compiler's emitted algebra changes; stale files
-#: are recompiled and overwritten, never loaded blindly.
-PLAN_CACHE_VERSION = 1
-
-#: Accepted values of ``SWConfig.plan_fuse``.
-PLAN_FUSE_MODES = ("exact", "algebraic")
 
 #: Ops the plan splices in as planned non-linear stages (same set the
 #: sparse backend leaves on the counted numpy fallback).
@@ -161,23 +128,6 @@ PLANNED_OPS = frozenset(
 #: they live in :mod:`repro.swm.timestep` / ``boundary`` and are not part
 #: of a fused kernel program.
 PLAN_LOCAL_LABELS = frozenset({"X1", "X2", "X3", "X4", "X5"})
-
-#: Kernel outputs the caller observes; never legal fusion seams.
-_PROTECTED_VARS = frozenset(
-    {
-        "tend_h",
-        "tend_u",
-        "h_edge",
-        "ke",
-        "vorticity",
-        "divergence",
-        "v",
-        "h_vertex",
-        "pv_vertex",
-        "pv_cell",
-        "pv_edge",
-    }
-)
 
 _UNSTABLE_MSG = (
     "non-positive h_vertex: the simulation has gone unstable "
@@ -310,92 +260,11 @@ def _split_routed(stage: PlanStage) -> bool:
     return p is not None and getattr(p, "device", None) == "split"
 
 
-# ---------------------------------------------------------- composed cache
-_COMPOSED_MEM: "weakref.WeakKeyDictionary[object, dict[str, sp.csr_matrix]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def plan_cache_path(mesh, name: str) -> Path:
-    """On-disk archive for one composed plan matrix (versioned ``.npz``)."""
-    root = cache_dir() / "operators"
-    root.mkdir(parents=True, exist_ok=True)
-    return root / f"{mesh_fingerprint(mesh)}_plan_{name}.npz"
-
-
-def _load_composed(path: Path, fingerprint: str) -> sp.csr_matrix | None:
-    """``None`` on stale version/fingerprint (rebuild in place); a corrupt
-    archive is quarantined by the integrity layer (``kind=plan``)."""
-
-    def read(p: Path) -> sp.csr_matrix | None:
-        with np.load(p) as d:
-            if "format_version" not in d.files or "plan_version" not in d.files:
-                return None
-            if int(d["format_version"]) != OPERATOR_CACHE_VERSION:
-                return None
-            if int(d["plan_version"]) != PLAN_CACHE_VERSION:
-                return None
-            if str(d["fingerprint"]) != fingerprint:
-                return None
-            return sp.csr_matrix(
-                (d["data"], d["indices"], d["indptr"]), shape=tuple(d["shape"])
-            )
-
-    return checked_load(path, read, kind="plan")
-
-
-def _save_composed(path: Path, fingerprint: str, m: sp.csr_matrix) -> None:
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez_compressed(
-        tmp,
-        format_version=np.array(OPERATOR_CACHE_VERSION),
-        plan_version=np.array(PLAN_CACHE_VERSION),
-        fingerprint=np.array(fingerprint),
-        data=m.data,
-        indices=m.indices,
-        indptr=m.indptr,
-        shape=np.array(m.shape),
-    )
-    os.replace(tmp, path)
-    seal(path)
-
-
-def _composed_operator(mesh, name: str, build: Callable[[], sp.csr_matrix]):
-    """Two-level (memory + versioned disk) cache for a composed matrix.
-
-    Mirrors :func:`repro.engine.sparse.sparse_operator`: disk persistence
-    only for meshes with a persistent identity (``info["disk_cached"]``);
-    rank-local and ad-hoc meshes compose into memory only.
-    """
-    ops = _COMPOSED_MEM.get(mesh)
-    if ops is None:
-        ops = {}
-        _COMPOSED_MEM[mesh] = ops
-    m = ops.get(name)
-    if m is not None:
-        return m
-    info = getattr(mesh, "info", None)
-    use_disk = bool(info.get("disk_cached")) if info is not None else False
-    path = fingerprint = None
-    if use_disk:
-        fingerprint = mesh_fingerprint(mesh)
-        path = plan_cache_path(mesh, name)
-        if path.exists():
-            m = _load_composed(path, fingerprint)
-    if m is None:
-        m = build()
-        if use_disk:
-            _save_composed(path, fingerprint, m)
-    ops[name] = m
-    return m
-
-
 # ------------------------------------------------------------ the compiler
 def plan_key(config) -> tuple:
     """The config fields that change a compiled plan's structure or algebra."""
     return (
         config.backend,
-        getattr(config, "plan_fuse", "exact"),
         bool(config.advection_only),
         int(config.thickness_adv_order),
         float(config.coef_3rd_order),
@@ -431,26 +300,20 @@ class ExecutionPlan:
         self,
         mesh,
         key: tuple,
-        fuse: str,
         tend_stages: list[PlanStage],
         diag_stages: list[PlanStage],
         recon_stages: list[PlanStage],
         buffers: dict[str, np.ndarray],
-        composed: tuple[str, ...],
-        schedule_labels: dict[str, list[str]],
         batch: int = 0,
     ) -> None:
         self._mesh = weakref.ref(mesh)
         self.key = key
-        self.fuse = fuse
         #: 0 for a serial plan; N > 0 when the stages run over (n, N) blocks.
         self.batch = int(batch)
         self._tend = tend_stages
         self._diag = diag_stages
         self._recon = recon_stages
         self._buffers = buffers
-        self.composed = composed
-        self.schedule_labels = schedule_labels
         self._n = (mesh.nCells, mesh.nEdges, mesh.nVertices)
 
     # ------------------------------------------------------------ executor
@@ -573,18 +436,6 @@ class ExecutionPlan:
             "reconstruct": list(self._recon),
         }
 
-    def describe(self) -> str:
-        """A deterministic, human-readable stage table (used by the docs)."""
-        lines = [f"ExecutionPlan fuse={self.fuse} composed={list(self.composed)}"]
-        for segment, stages in self.stages().items():
-            lines.append(f"{segment}:")
-            for st in stages:
-                lines.append(
-                    f"  {st.name:24s} {st.kind:11s} "
-                    f"op={st.op or '-'} pattern={st.pattern or '-'}"
-                )
-        return "\n".join(lines)
-
 
 class _Compiler:
     """Builds the stage lists for one ``(mesh, config)`` pair.
@@ -607,7 +458,6 @@ class _Compiler:
         self.mesh = mesh
         self.config = config
         self.registry = registry
-        self.fuse = getattr(config, "plan_fuse", "exact")
         #: 0 compiles the serial plan; N > 0 compiles over (n, N) blocks.
         self.batch = int(batch)
         n_cells, n_edges, n_vertices = mesh.nCells, mesh.nEdges, mesh.nVertices
@@ -626,7 +476,6 @@ class _Compiler:
             self._d2 = np.zeros(shape(2 * n_edges))
         if self.batch:
             self._q = np.zeros(shape(n_edges))
-        self.composed: list[str] = []
 
     def _shape(self, n: int):
         return (n, self.batch) if self.batch else (n,)
@@ -790,33 +639,6 @@ class _Compiler:
         e1, e2, e3, c1, v1 = self._e1, self._e2, self._e3, self._c1, self._v1
         reg = self.registry
 
-        if self.fuse == "algebraic":
-            # del4 = (grad_c . div - grad_v . curl)(del2_u): four matvecs
-            # composed into one matrix.  The intermediates (div2, vort2,
-            # their gradients) are internal to the B1 pricing — nothing
-            # observes them — so the composition is legal; it is *not*
-            # bitwise (matrix products reassociate the row sums).
-            mesh = self.mesh
-
-            def build():
-                d4 = (Mgc @ sparse_operator(mesh, "cell_divergence")) - (
-                    Mgv @ sparse_operator(mesh, "vertex_curl")
-                )
-                return sp.csr_matrix(d4)
-
-            D4 = _composed_operator(mesh, "del4", build)
-            self.composed.append("del4")
-
-            def fast(ctx):
-                _matvec(Mgc, ctx["divergence"], e1)
-                _matvec(Mgv, ctx["vorticity"], e2)
-                np.subtract(e1, e2, out=e1)  # del2_u
-                _matvec(D4, e1, e2)  # del4_u in one composed matvec
-                np.multiply(e2, hv, out=e2)
-                np.subtract(ctx["tend_u"], e2, out=ctx["tend_u"])
-
-            return PlanStage("del4_dissipation", fast, kind="composed")
-
         Mdiv = self.matrix("cell_divergence")
         Mcurl = self.matrix("vertex_curl")
 
@@ -858,8 +680,6 @@ class _Compiler:
     def _emit_C1(self, sched) -> list[PlanStage]:
         if self.config.thickness_adv_order == 2:
             return []
-        if self.fuse == "algebraic" and self._h_edge_composable(sched):
-            return []  # folded into the composed D1 operator
         Md2 = self.matrix("d2fdx2")
         d2 = self._d2
 
@@ -872,42 +692,9 @@ class _Compiler:
     def _emit_C2(self, sched) -> list[PlanStage]:
         return []  # computed by the fused C1 sweep (one two-row matvec)
 
-    def _h_edge_composable(self, sched) -> bool:
-        """Fusion legality of mean∘d2fdx2 composition into one operator.
-
-        Only the 4th-order combine is linear with input-independent
-        coefficients; the scheduler must also certify the ``d2fdx2_cell*``
-        intermediates as single-consumer (nothing else ever reads them).
-        """
-        if self.config.thickness_adv_order != 4:
-            return False  # order 3's sign(u) coefficients are input-dependent
-        from ..dataflow.schedule import single_consumer_vars
-
-        seams = single_consumer_vars(sched.graph, protected=_PROTECTED_VARS)
-        return {"d2fdx2_cell1", "d2fdx2_cell2"} <= seams
-
     def _emit_D1(self, sched) -> list[PlanStage]:
         order = self.config.thickness_adv_order
         Mmean = self.matrix("cell_to_edge_mean")
-        reg = self.registry
-
-        if order > 2 and self.fuse == "algebraic" and self._h_edge_composable(sched):
-            mesh = self.mesh
-            dc2_half = (mesh.metrics.dcEdge**2 / 12.0) * 0.5
-
-            def build():
-                Md2 = sparse_operator(mesh, "d2fdx2")
-                S = Md2[0::2] + Md2[1::2]  # d2_1 + d2_2 rows per edge
-                return sp.csr_matrix(Mmean - sp.diags(dc2_half) @ S)
-
-            H4 = _composed_operator(self.mesh, "h_edge_order4", build)
-            self.composed.append("h_edge_order4")
-
-            def fast(ctx):
-                _matvec(H4, ctx["h"], ctx["h_edge"])
-
-            return [PlanStage("h_edge_order4", fast, kind="composed")]
-
         stages = [
             PlanStage(
                 "cell_to_edge_mean",
@@ -1307,8 +1094,6 @@ class _OverlapCompiler(_Compiler):
 
         if self.config.thickness_adv_order == 2:
             return []
-        if self.fuse == "algebraic" and self._h_edge_composable(sched):
-            return []  # D1's composed operator is retainted directly
         Md2 = self.matrix("d2fdx2")
         mask = propagate_taint(Md2, self.taint["h"], block=2)
         self.taint["d2"] = mask
@@ -1333,23 +1118,6 @@ class _OverlapCompiler(_Compiler):
         from .split import propagate_taint
 
         order = self.config.thickness_adv_order
-        if order > 2 and self.fuse == "algebraic" and self._h_edge_composable(sched):
-            def already_built():  # the interior _emit_D1 pass composed it
-                raise AssertionError("h_edge_order4 must be composed before the boundary pass")
-
-            H4 = _composed_operator(self.mesh, "h_edge_order4", already_built)
-            mask = propagate_taint(H4, self.taint["h"])
-            self.taint["h_edge"] = mask
-            rows = self._rows(mask)
-            if rows.size == 0:
-                return []
-            sub = sp.csr_matrix(H4[rows])
-
-            def fast(ctx):
-                ctx["h_edge"][rows] = sub @ ctx["h"]
-
-            return [PlanStage("h_edge_order4@boundary", fast, kind="boundary")]
-
         Mmean = self.matrix("cell_to_edge_mean")
         mask = propagate_taint(Mmean, self.taint["h"])
         if order > 2:
@@ -1561,9 +1329,7 @@ def compiled_overlap(local_mesh, config, rings: int, registry=None) -> OverlapDi
     if ov is None:
         ov = compile_overlap(local_mesh, config, rings, registry=registry)
         per_mesh[key] = ov
-        get_registry().counter(
-            "engine.plan.compile_overlap", fuse=getattr(config, "plan_fuse", "exact")
-        ).inc()
+        get_registry().counter("engine.plan.compile_overlap").inc()
     return ov
 
 
@@ -1584,11 +1350,6 @@ def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
             "execution plans require backend='sparse' "
             f"(got backend={config.backend!r})"
         )
-    fuse = getattr(config, "plan_fuse", "exact")
-    if fuse not in PLAN_FUSE_MODES:
-        raise ValueError(
-            f"plan_fuse must be one of {PLAN_FUSE_MODES}, got {fuse!r}"
-        )
     if int(batch) < 0:
         raise ValueError(f"batch must be >= 0 (0 compiles serial), got {batch!r}")
     reg = registry if registry is not None else default_registry()
@@ -1604,20 +1365,10 @@ def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     return ExecutionPlan(
         mesh,
         key=plan_key(config),
-        fuse=fuse,
         tend_stages=tend,
         diag_stages=diag,
         recon_stages=recon,
         buffers=comp.buffers,
-        composed=tuple(comp.composed),
-        schedule_labels={
-            "tend": [sched1.graph.instance(n).label
-                     for n in sched1.nodes_for_kernel("compute_tend")],
-            "diagnostics": [sched1.graph.instance(n).label
-                            for n in sched1.nodes_for_kernel("compute_solve_diagnostics")],
-            "reconstruct": [sched4.graph.instance(n).label
-                            for n in sched4.nodes_for_kernel("mpas_reconstruct")],
-        },
         batch=batch,
     )
 
@@ -1646,12 +1397,11 @@ def compiled_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     if plan is None:
         plan = compile_plan(mesh, config, registry=registry, batch=batch)
         plans[key] = plan
-        get_registry().counter("engine.plan.compile", fuse=plan.fuse).inc()
+        get_registry().counter("engine.plan.compile").inc()
     return plan
 
 
 def clear_plan_memory_cache() -> None:
-    """Drop in-process compiled plans and composed matrices (cache tests)."""
+    """Drop in-process compiled plans and overlap programs (cache tests)."""
     _PLANS.clear()
-    _COMPOSED_MEM.clear()
     _OVERLAPS.clear()

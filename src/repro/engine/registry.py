@@ -11,25 +11,19 @@ the hybrid layer all resolve work through the same table instead of
 importing implementations directly (the Loop-of-stencil-reduce shape: one
 pattern abstraction, many interchangeable backends).
 
-Four backends ship by default (see :mod:`repro.engine.backends`):
+Two backends ship by default (see :mod:`repro.engine.backends`):
 
 ``numpy``
     The production gather-form operators of :mod:`repro.swm.operators`
-    (Algorithms 3/4 — label matrices, branch-free padding).
-``scatter``
-    The loop/scatter reference forms of :mod:`repro.swm.reference`
-    (Algorithm 2 — the "original code" semantics, for cross-checks).
-``codegen``
-    Kernels compiled from declarative :class:`~repro.patterns.codegen.
-    StencilSpec` descriptions — the paper's automatic-code-generation
-    future work promoted to a real execution path.
+    (Algorithms 3/4 — label matrices, branch-free padding); the readable
+    oracle the ``sparse`` backend is tested against.
 ``sparse``
     Fixed-sparsity stencils compiled once per mesh into ``scipy.sparse``
     CSR operators and applied as matvecs (:mod:`repro.engine.sparse`),
     with a two-level in-memory + versioned on-disk operator cache.
 
 An operator missing from the selected backend falls back to ``numpy`` (and
-the fallback is counted in the metrics registry), so partial backends can
+the fallback is counted in the metrics registry), so a partial backend can
 still drive a full model run.  Every dispatch is timed into the
 process-wide :class:`~repro.obs.metrics.MetricsRegistry` under
 ``engine.op`` tagged with ``(op, pattern, backend)`` — the raw material of
@@ -57,7 +51,7 @@ __all__ = [
 ]
 
 #: The backends registered by :mod:`repro.engine.backends`.
-BACKENDS: tuple[str, ...] = ("numpy", "scatter", "codegen", "sparse")
+BACKENDS: tuple[str, ...] = ("numpy", "sparse")
 
 DEFAULT_BACKEND = "numpy"
 
@@ -124,10 +118,11 @@ class KernelRegistry:
     def __reduce__(self):
         """Pickle support for worker processes.
 
-        Registered implementations include compiled codegen closures that
-        cannot cross a process boundary, so a registry never pickles by
-        value.  The process-default registry pickles as "rebuild the
-        default in the receiving process" — each pool worker then owns an
+        Registered implementations include lambdas (the sparse backend's
+        point-local pre/post steps) that cannot cross a process boundary,
+        so a registry never pickles by value.  The process-default
+        registry pickles as "rebuild the default in the receiving
+        process" — each pool worker then owns an
         equivalent, independently built table (same registrations, fresh
         timers).  Custom registries must be rebuilt inside the worker.
         """

@@ -12,8 +12,8 @@ column ``k`` of every step equals a serial step of member ``k`` bit for
 bit.
 
 The integrator always executes through the batched plan, even for configs
-with ``plan=False``: the default ``plan_fuse="exact"`` program replays the
-unfused sparse backend's arithmetic bitwise (the PR 6 contract, asserted
+with ``plan=False``: the plan program replays the unfused sparse
+backend's arithmetic bitwise (the PR 6 contract, asserted
 by the golden suite), so members of a ``backend="sparse"`` run match their
 serial unfused reference exactly as well.
 

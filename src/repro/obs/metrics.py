@@ -46,6 +46,9 @@ class Counter:
             raise ValueError("counters only go up")
         self.value += amount
 
+    def reset(self) -> None:
+        self.value = 0.0
+
     def snapshot(self) -> dict:
         return {"value": self.value}
 
@@ -64,6 +67,9 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
+    def reset(self) -> None:
+        """Keep the last value: a gauge is a level, not a running total."""
+
     def snapshot(self) -> dict:
         return {"value": self.value}
 
@@ -77,6 +83,12 @@ class Timer:
     def __init__(self, name: str, tags: dict) -> None:
         self.name = name
         self.tags = tags
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def reset(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -192,6 +204,17 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self._series.clear()
+
+    def reset(self) -> None:
+        """Zero every counter and timer in place, keeping each series.
+
+        Unlike :meth:`clear`, series objects survive, so call sites that
+        hold a :class:`Counter` across calls keep counting into this
+        registry.  Pool workers reset after shipping a snapshot, so each
+        merge carries only what happened since the previous one.
+        """
+        for series in self._series.values():
+            series.reset()
 
     def __len__(self) -> int:
         return len(self._series)

@@ -569,6 +569,8 @@ def _run_untraced(case: str, level: int, steps: int) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from ..engine import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
         description="Trace a shallow-water run and report per-pattern costs.",
@@ -590,9 +592,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="also print the per-kernel breakdown")
     parser.add_argument("--overhead", action="store_true",
                         help="measure tracing overhead (traced/untraced ratio)")
-    parser.add_argument("--backend", default="numpy",
-                        help="engine execution backend "
-                             "(numpy/scatter/codegen/sparse)")
+    parser.add_argument("--backend", default="numpy", choices=BACKENDS,
+                        help="engine execution backend")
     parser.add_argument("--parallel", default="serial",
                         choices=("serial", "lockstep", "pool"),
                         help="executor; non-serial runs add the per-sync-"
@@ -636,8 +637,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.compare_backends:
-        from ..engine import BACKENDS
-
         all_rows: list[BackendCost] = []
         for backend in BACKENDS:
             _, registry, mesh, _ = run_traced(

@@ -315,8 +315,10 @@ def _worker_main(
     Commands (over the pipe): ``("steps", n)`` advance ``n`` RK-4 steps,
     acked ``("ok", n)`` or ``("broken", at_step)`` after a barrier break;
     ``("load", base_step)`` re-slice the local state from the shared
-    segment (post-recovery resynchronization); ``("obs",)`` ship-and-clear
-    this worker's metrics snapshot and finished tracer spans;
+    segment (post-recovery resynchronization); ``("obs",)`` ship this
+    worker's metrics snapshot and finished tracer spans, then zero the
+    metrics in place (:meth:`MetricsRegistry.reset`) so held counters keep
+    counting;
     ``("gather",)`` ship the owned state slices; ``("stop",)`` exit.
 
     ``board is None`` selects the static barrier path; otherwise the
@@ -436,7 +438,7 @@ def _worker_main(
                     registry.snapshot(),
                     [s.to_dict() for s in tracer.finished()],
                 ))
-                registry.clear()
+                registry.reset()
                 tracer.clear()
             elif cmd == "gather":
                 conn.send((

@@ -1,9 +1,8 @@
 """Self-healing integrity layer for the on-disk caches.
 
 Every persistent cache in this repo (mesh archives, compiled sparse
-operators, composed plan matrices) is written atomically — temp file, then
-``os.replace`` — so a *reader* never sees a half-written archive under the
-final name.  What atomic writes cannot prevent is the file being damaged
+operators) is written atomically — temp file, then ``os.replace`` — so a
+*reader* never sees a half-written archive under the final name.  What atomic writes cannot prevent is the file being damaged
 *after* publication: a disk hiccup, a torn page from a power loss, a
 truncation by a full filesystem, an over-eager cleanup script.  Before this
 layer, one corrupt ``.npz`` crashed every future run that touched it

@@ -43,9 +43,10 @@ class SWConfig:
         (the Williamson TC1 passive-advection configuration): ``tend_u`` is
         forced to zero every substage.
     backend : str
-        Execution backend for the stencil operators (``"numpy"``,
-        ``"scatter"``, ``"codegen"`` or ``"sparse"``); every kernel
-        dispatches through the :mod:`repro.engine` registry under this name.
+        Execution backend for the stencil operators: ``"numpy"`` (the
+        readable gather-form oracle) or ``"sparse"`` (precompiled CSR
+        matvecs); every kernel dispatches through the :mod:`repro.engine`
+        registry under this name.
     parallel : str
         Execution mode of the run (dispatched by :func:`repro.api.run`):
         ``"serial"`` integrates in-process; ``"lockstep"`` steps ``ranks``
@@ -100,10 +101,6 @@ class SWConfig:
     #: compiled stage programs with zero per-op dispatch, bitwise identical
     #: to the unfused sparse backend.
     plan: bool = False
-    #: Plan fusion mode: ``"exact"`` replays the unfused arithmetic bitwise;
-    #: ``"algebraic"`` additionally composes linear-operator chains into
-    #: single matrices (equivalent to ~1e-12, not bitwise).
-    plan_fuse: str = "exact"
     #: Halo synchronization schedule of the decomposed modes: ``"static"``
     #: executes all 8 Algorithm-1 sync points with full payloads (the
     #: bitwise-proven escape hatch); ``"dataflow"`` runs the comm-avoiding
@@ -212,13 +209,6 @@ class SWConfig:
             raise ValueError(
                 "plan=True requires backend='sparse' (plans fuse the "
                 f"precompiled CSR operators), got backend={self.backend!r}"
-            )
-        from ..engine.plan import PLAN_FUSE_MODES  # deferred: import-light
-
-        if self.plan_fuse not in PLAN_FUSE_MODES:
-            raise ValueError(
-                f"plan_fuse must be one of {PLAN_FUSE_MODES}, "
-                f"got {self.plan_fuse!r}"
             )
         if int(self.ensemble) != self.ensemble or self.ensemble < 0:
             raise ValueError(

@@ -2,7 +2,7 @@
 
 The self-healing contract of :mod:`repro.resilience.integrity`: truncating
 or bit-flipping any cached ``.npz`` (mesh archive, compiled sparse
-operator, composed plan matrix) must never crash a future run — the entry
+operator) must never crash a future run — the entry
 is moved to ``quarantine/``, counted as ``resilience.cache.quarantined``
 (tagged by cache kind), and rebuilt with correct results.  Before this
 layer a truncated archive raised ``zipfile.BadZipFile`` out of ``np.load``
@@ -192,36 +192,6 @@ class TestOperatorSelfHeal:
         clear_operator_memory_cache()
         loaded = sparse_operator(mesh, "vertex_curl", use_disk=True)
         assert (good != loaded).nnz == 0
-
-
-# ---------------------------------------------------------- plan archives
-class TestPlanSelfHeal:
-    def test_corrupt_composed_matrix_rebuilds(self, cache_sandbox):
-        from repro.engine.plan import (
-            clear_plan_memory_cache,
-            compiled_plan,
-            plan_cache_path,
-        )
-        from repro.engine.sparse import clear_operator_memory_cache
-        from repro.mesh.cache import cached_mesh
-        from repro.swm.config import SWConfig
-
-        mesh = cached_mesh(2, lloyd_iterations=0)
-        cfg = SWConfig(
-            dt=60.0, backend="sparse", plan=True, plan_fuse="algebraic",
-            thickness_adv_order=4,
-        )
-        compiled_plan(mesh, cfg)
-        path = plan_cache_path(mesh, "h_edge_order4")
-        assert path.exists()
-        _truncate(path)
-        clear_plan_memory_cache()
-        clear_operator_memory_cache()
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            plan = compiled_plan(mesh, cfg)
-        assert "h_edge_order4" in plan.composed
-        assert _quarantined(registry, "plan") == 1.0
 
 
 # ---------------------------------------------------------- mesh archives

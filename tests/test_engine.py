@@ -84,19 +84,19 @@ class TestRegistry:
         assert reg.op_for_label("C1").op == "d2fdx2"
         assert reg.op_for_label("C2").op == "d2fdx2"
 
-    def test_fallback_to_numpy_is_counted(self, mesh3, cell_field):
-        # cell_from_vertices_kite has no codegen registration: the dispatch
+    def test_fallback_to_numpy_is_counted(self, mesh3, edge_field):
+        # coriolis_edge_term has no sparse registration: the dispatch
         # must fall back to numpy and count the fallback.
         reg = default_registry()
-        assert "codegen" not in reg.op("cell_from_vertices_kite").impls
+        assert "sparse" not in reg.op("coriolis_edge_term").impls
         metrics = MetricsRegistry()
-        vertex = np.linspace(0.0, 1.0, mesh3.nVertices)
+        fields = (edge_field, edge_field + 2.0, np.cos(edge_field))
         with use_registry(metrics):
-            got = dispatch("cell_from_vertices_kite", mesh3, vertex, backend="codegen")
-        want = dispatch("cell_from_vertices_kite", mesh3, vertex, backend="numpy")
+            got = dispatch("coriolis_edge_term", mesh3, *fields, backend="sparse")
+        want = dispatch("coriolis_edge_term", mesh3, *fields, backend="numpy")
         assert np.array_equal(got, want)
         (fallback,) = metrics.series("engine.fallback")
-        assert fallback.tags == {"op": "cell_from_vertices_kite", "backend": "codegen"}
+        assert fallback.tags == {"op": "coriolis_edge_term", "backend": "sparse"}
         assert fallback.value == 1.0
         (timer,) = metrics.series("engine.op")
         assert timer.tags["backend"] == "numpy"  # timed under the resolved backend
@@ -105,12 +105,12 @@ class TestRegistry:
         metrics = MetricsRegistry()
         with use_registry(metrics):
             dispatch("cell_divergence", mesh3, edge_field, backend="numpy")
-            dispatch("cell_divergence", mesh3, edge_field, backend="codegen")
+            dispatch("cell_divergence", mesh3, edge_field, backend="sparse")
         tags = {(s.tags["op"], s.tags["pattern"], s.tags["backend"])
                 for s in metrics.series("engine.op")}
         assert tags == {
             ("cell_divergence", "A3", "numpy"),
-            ("cell_divergence", "A3", "codegen"),
+            ("cell_divergence", "A3", "sparse"),
         }
 
 
@@ -194,9 +194,9 @@ class TestSplitExecution:
 
     def test_split_honours_backend(self, mesh3, rng):
         u, h = _fields(mesh3, ("edge", "edge"), rng)
-        base = dispatch("flux_divergence", mesh3, u, h, backend="codegen")
+        base = dispatch("flux_divergence", mesh3, u, h, backend="sparse")
         with use_placements({"A1": Placement("split", 0.4)}):
-            split = dispatch("flux_divergence", mesh3, u, h, backend="codegen")
+            split = dispatch("flux_divergence", mesh3, u, h, backend="sparse")
         assert np.array_equal(base, split)
 
     def test_band_points_counted(self, mesh3, rng):

@@ -1,10 +1,10 @@
-"""Backend equivalence: numpy / scatter / codegen / sparse agree on every operator.
+"""Backend equivalence: numpy and sparse agree on every operator.
 
 The refactor's correctness contract: selecting a backend changes *how* a
-pattern executes, never *what* it computes.  Gather vs scatter reassociates
-the reductions, so those agree to round-off; the compiled codegen kernels
-that the seed suite already proves bitwise-equal must stay bitwise-equal
-through the registry.  The full-model check integrates the Galewsky jet
+pattern executes, never *what* it computes.  The Algorithm-2 loop/scatter
+forms of :mod:`repro.swm.reference` are the oracle behind the ``numpy``
+gather operators; gather vs scatter reassociates the reductions, so they
+agree to round-off.  The full-model check integrates the Galewsky jet
 under each backend and requires <= 1e-12 relative agreement.
 """
 
@@ -17,6 +17,7 @@ from repro.constants import GRAVITY
 from repro.engine import BACKENDS, dispatch
 from repro.geometry import lloyd_relax, normalize
 from repro.mesh import Mesh
+from repro.swm import reference as ref
 
 # Reassociation tolerance for gather-vs-scatter reductions (matches the
 # operator seed tests comparing repro.swm.reference to repro.swm.operators).
@@ -40,15 +41,24 @@ _OPS = [
     ("edge_gradient_of_vertex", ("vertex",)),
 ]
 
-# Ops whose codegen kernels the seed suite proves bitwise-equal to the
-# hand-written operators (test_codegen.py uses np.array_equal for these).
-_CODEGEN_BITWISE = {
-    "cell_divergence",
-    "kinetic_energy",
-    "vertex_curl",
-    "tangential_velocity",
-    "vertex_from_cells_kite",
+# Algorithm-2 loop/scatter oracle for every op except the fused C1,C2
+# sweep, which has no loop-order transcription.
+_LOOP_ORACLE = {
+    "flux_divergence": ref.flux_divergence_scatter,
+    "kinetic_energy": ref.cell_kinetic_energy_loop,
+    "cell_divergence": ref.cell_divergence_scatter,
+    "velocity_reconstruction": ref.velocity_reconstruction_loop,
+    "coriolis_edge_term": ref.coriolis_edge_term_loop,
+    "tangential_velocity": ref.tangential_velocity_loop,
+    "cell_to_edge_mean": ref.cell_to_edge_mean_loop,
+    "vertex_from_cells_kite": ref.vertex_from_cells_kite_loop,
+    "cell_from_vertices_kite": ref.cell_from_vertices_kite_loop,
+    "vertex_to_edge_mean": ref.vertex_to_edge_mean_loop,
+    "vertex_curl": ref.vertex_curl_loop,
+    "edge_gradient_of_cell": ref.edge_gradient_of_cell_loop,
+    "edge_gradient_of_vertex": ref.edge_gradient_of_vertex_loop,
 }
+_LOOP_OPS = [(o, k) for o, k in _OPS if o in _LOOP_ORACLE]
 
 
 def _fields(mesh, kinds, rng):
@@ -70,35 +80,37 @@ def scvt_mesh(request):
     return Mesh.from_points(pts, name=f"random150-{request.param}")
 
 
+def _assert_backends_agree(mesh, rng, op, kinds):
+    fields = _fields(mesh, kinds, rng)
+    want = _as_arrays(dispatch(op, mesh, *fields, backend="numpy"))
+    got = _as_arrays(dispatch(op, mesh, *fields, backend="sparse"))
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=RTOL, atol=1e-14, err_msg=f"{op} under sparse")
+
+
+def _assert_loop_oracle_agrees(mesh, rng, op, kinds):
+    fields = _fields(mesh, kinds, rng)
+    want = dispatch(op, mesh, *fields, backend="numpy")
+    got = _LOOP_ORACLE[op](mesh, *fields)
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-14, err_msg=f"{op} vs loop oracle")
+
+
 class TestOperatorEquivalence:
     @pytest.mark.parametrize("op,kinds", _OPS, ids=[o for o, _ in _OPS])
     def test_backends_agree_on_mesh3(self, mesh3, rng, op, kinds):
-        fields = _fields(mesh3, kinds, rng)
-        results = {
-            b: _as_arrays(dispatch(op, mesh3, *fields, backend=b)) for b in BACKENDS
-        }
-        for backend in ("scatter", "codegen", "sparse"):
-            for got, want in zip(results[backend], results["numpy"]):
-                np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-14, err_msg=f"{op} under {backend}")
+        _assert_backends_agree(mesh3, rng, op, kinds)
 
     @pytest.mark.parametrize("op,kinds", _OPS, ids=[o for o, _ in _OPS])
     def test_backends_agree_on_random_scvt(self, scvt_mesh, rng, op, kinds):
-        fields = _fields(scvt_mesh, kinds, rng)
-        results = {
-            b: _as_arrays(dispatch(op, scvt_mesh, *fields, backend=b))
-            for b in BACKENDS
-        }
-        for backend in ("scatter", "codegen", "sparse"):
-            for got, want in zip(results[backend], results["numpy"]):
-                np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-14, err_msg=f"{op} under {backend}")
+        _assert_backends_agree(scvt_mesh, rng, op, kinds)
 
-    @pytest.mark.parametrize("op", sorted(_CODEGEN_BITWISE))
-    def test_codegen_bitwise_where_seed_claims(self, mesh3, rng, op):
-        kinds = dict(_OPS)[op]
-        fields = _fields(mesh3, kinds, rng)
-        got = dispatch(op, mesh3, *fields, backend="codegen")
-        want = dispatch(op, mesh3, *fields, backend="numpy")
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("op,kinds", _LOOP_OPS, ids=[o for o, _ in _LOOP_OPS])
+    def test_loop_oracle_agrees_on_mesh3(self, mesh3, rng, op, kinds):
+        _assert_loop_oracle_agrees(mesh3, rng, op, kinds)
+
+    @pytest.mark.parametrize("op,kinds", _LOOP_OPS, ids=[o for o, _ in _LOOP_OPS])
+    def test_loop_oracle_agrees_on_random_scvt(self, scvt_mesh, rng, op, kinds):
+        _assert_loop_oracle_agrees(scvt_mesh, rng, op, kinds)
 
 
 class TestFullModelEquivalence:
@@ -143,32 +155,28 @@ class TestFullModelEquivalence:
             SWConfig(dt=60.0, backend="fortran")
 
 
-def test_profiled_integrator_buckets_by_backend():
-    """KernelProfile keeps its old API and additionally buckets per backend."""
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_kernel_spans_carry_backend_tag(backend):
+    """Every Algorithm-1 kernel span is tagged with the executing backend,
+    so a trace buckets per backend without any wrapper integrator."""
     from repro.mesh import cached_mesh
+    from repro.obs import Tracer, use_tracer
     from repro.swm.config import SWConfig
     from repro.swm.galewsky import galewsky_jet
     from repro.swm.model import suggested_dt
-    from repro.swm.profiling import ProfiledIntegrator
     from repro.swm.testcases import initialize
+    from repro.swm.timestep import RK4Integrator
 
     mesh = cached_mesh(2)
     case = galewsky_jet()
-    config = SWConfig(
-        dt=suggested_dt(mesh, case, GRAVITY), backend="codegen"
-    )
+    config = SWConfig(dt=suggested_dt(mesh, case, GRAVITY), backend=backend)
     state, b_cell = initialize(mesh, case)
-    integ = ProfiledIntegrator(
-        mesh, config, b_cell, config.coriolis(mesh.metrics.latVertex)
-    )
-    diag = integ.diagnostics_for(state)
-    integ.step(state, diag)
-
-    profile = integ.profile
-    assert profile.steps == 1
-    assert set(profile.by_backend) == {"codegen"}
-    # The per-backend bucket partitions the classic accumulator exactly.
-    assert profile.by_backend["codegen"] == profile.seconds
+    integ = RK4Integrator(mesh, config, b_cell, config.coriolis(mesh.metrics.latVertex))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        integ.step(state, integ.diagnostics_for(state))
+    kernels = [s for s in tracer.finished() if s.category == "kernel"]
     from repro.patterns.catalog import KERNELS
 
-    assert profile.dominant() in KERNELS
+    assert {s.name for s in kernels} <= set(KERNELS)
+    assert {s.tags.get("backend") for s in kernels} == {backend}

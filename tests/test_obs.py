@@ -324,60 +324,6 @@ class TestReport:
         assert sum(shares) == pytest.approx(100.0, abs=0.5)
 
 
-# ----------------------------------------------------------------------- shim
-class TestProfiledIntegratorShim:
-    def test_shim_matches_tracer(self, mesh3):
-        from repro.swm.profiling import ProfiledIntegrator
-
-        case = isolated_mountain()
-        config = SWConfig(
-            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5), thickness_adv_order=4
-        )
-        state, b_cell = initialize(mesh3, case)
-        f_vertex = config.coriolis(mesh3.metrics.latVertex)
-        integ = ProfiledIntegrator(mesh3, config, b_cell, f_vertex)
-        diag = integ.diagnostics_for(state)
-        integ.step(state, diag)
-        integ.profile.reset()
-        mark = len(integ.tracer.spans)
-
-        s, d = state, diag
-        for _ in range(2):
-            r = integ.step(s, d)
-            s, d = r.state, r.diagnostics
-
-        # The shim's KernelProfile is exactly the kernel spans, re-summed.
-        from_tracer: dict[str, float] = {}
-        for span in integ.tracer.spans[mark:]:
-            if span.category == "kernel":
-                from_tracer[span.name] = from_tracer.get(span.name, 0.0) + (
-                    span.duration
-                )
-        assert set(integ.profile.seconds) == set(from_tracer)
-        for kernel, secs in integ.profile.seconds.items():
-            assert secs == pytest.approx(from_tracer[kernel], rel=1e-9)
-        assert integ.profile.steps == 2
-        # Same physical conclusion as the paper's Section II-C profile.
-        fractions = integ.profile.fractions()
-        heavy = fractions["compute_tend"] + fractions["compute_solve_diagnostics"]
-        assert heavy > 0.6
-
-    def test_shim_isolated_from_global_tracer(self, mesh3):
-        from repro.swm.profiling import ProfiledIntegrator
-
-        case = isolated_mountain()
-        config = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5))
-        state, b_cell = initialize(mesh3, case)
-        integ = ProfiledIntegrator(
-            mesh3, config, b_cell, config.coriolis(mesh3.metrics.latVertex)
-        )
-        diag = integ.diagnostics_for(state)
-        before = len(get_tracer().spans)
-        integ.step(state, diag)
-        assert len(get_tracer().spans) == before  # nothing leaked globally
-        assert len(integ.tracer.spans) > 0
-
-
 # ------------------------------------------------------------- executor + tune
 class TestSimulatedSpans:
     @pytest.fixture(scope="class")

@@ -2,24 +2,18 @@
 
 Contracts pinned here:
 
-* the substep scheduler — program order is a verified topological order,
-  halo exchanges segment the fused program, and the single-consumer
-  analysis (the fusion-legality oracle) never offers a protected kernel
-  output as a fusion seam;
+* the substep scheduler — program order is a verified topological order
+  and halo exchanges segment the fused program;
 * plan-vs-unfused **bitwise** equivalence — every fused kernel (tend,
   diagnostics, reconstruct) reproduces the unfused sparse backend bit for
   bit, per kernel on icosahedral and random SCVT meshes across the
   physics options, and end-to-end over 10 Galewsky RK steps in serial,
   split and 4-rank pool execution;
 * the plan cache — per-mesh memoization keyed by the structure-affecting
-  config fields (a dt change recompiles), composed matrices round-trip
-  through the versioned disk archive and a version-stamp mismatch
-  recompiles instead of loading;
+  config fields (a dt change recompiles);
 * the registry lint — every Algorithm-1 operator is either plannable or an
   intentional planned fallback, and every scheduled Table I label has an
-  emitter or a whitelist entry;
-* the algebraic mode — composition happens exactly where the legality
-  oracle allows it, and stays within 1e-12 of the exact plan.
+  emitter or a whitelist entry.
 """
 
 from __future__ import annotations
@@ -27,21 +21,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dataflow.schedule import (
-    schedule_substep,
-    single_consumer_vars,
-    topological_order,
-)
+from repro.dataflow.schedule import schedule_substep, topological_order
 from repro.engine import default_registry, use_placements
 from repro.engine.plan import (
-    PLAN_CACHE_VERSION,
     PLAN_FALLBACK_OPS,
     PLAN_LOCAL_LABELS,
     PLANNED_OPS,
     clear_plan_memory_cache,
     compile_plan,
     compiled_plan,
-    plan_cache_path,
     plan_key,
     unplanned_labels,
 )
@@ -118,17 +106,6 @@ class TestSchedule:
         sched = schedule_substep(_cfg(), stage=4)
         assert sched.nodes_for_kernel("mpas_reconstruct")
 
-    def test_single_consumer_respects_protection(self):
-        sched = schedule_substep(_cfg(thickness_adv_order=4), stage=1)
-        free = single_consumer_vars(sched.graph)
-        # pv_cell is read in-graph only by the APVM correction, so without
-        # protection it *looks* like a seam — but the caller observes it.
-        protected = single_consumer_vars(
-            sched.graph, protected=frozenset({"pv_cell"})
-        )
-        assert "pv_cell" not in protected
-        assert protected <= free
-
 
 # -------------------------------------------------------------------- lint
 class TestRegistryLint:
@@ -153,10 +130,6 @@ class TestConfigValidation:
     def test_plan_requires_sparse_backend(self):
         with pytest.raises(ValueError, match="backend='sparse'"):
             SWConfig(dt=60.0, backend="numpy", plan=True)
-
-    def test_bad_fuse_mode_rejected(self):
-        with pytest.raises(ValueError, match="plan_fuse"):
-            SWConfig(dt=60.0, backend="sparse", plan=True, plan_fuse="magic")
 
     def test_compile_rejects_non_sparse(self, mesh3):
         with pytest.raises(ValueError, match="sparse"):
@@ -276,99 +249,6 @@ class TestPlanCache:
         c = compiled_plan(mesh3, _cfg(plan=True, dt=30.0))
         assert c is not a
         assert plan_key(_cfg(dt=30.0)) != plan_key(_cfg())
-
-    def test_composed_matrix_disk_roundtrip(self, plan_cache):
-        from repro.mesh import cached_mesh, clear_memory_cache
-
-        clear_memory_cache()
-        mesh = cached_mesh(2, lloyd_iterations=0, use_disk=True)
-        cfg = _cfg(
-            plan=True, plan_fuse="algebraic", thickness_adv_order=4,
-            hyperviscosity=1.0e13,
-        )
-        a = compiled_plan(mesh, cfg)
-        assert set(a.composed) == {"del4", "h_edge_order4"}
-        for name in a.composed:
-            assert plan_cache_path(mesh, name).exists()
-        clear_plan_memory_cache()
-        b = compiled_plan(mesh, cfg)  # reloaded from the archives
-        assert b is not a
-        state, b_cell, f_vertex = _galewsky_inputs(mesh)
-        ra = a.diagnostics(State(h=state.h, u=state.u), f_vertex)
-        rb = b.diagnostics(State(h=state.h, u=state.u), f_vertex)
-        assert np.array_equal(ra.h_edge, rb.h_edge)
-        clear_memory_cache()
-
-    def test_version_bump_recompiles(self, plan_cache):
-        from repro.mesh import cached_mesh, clear_memory_cache
-
-        clear_memory_cache()
-        mesh = cached_mesh(2, lloyd_iterations=0, use_disk=True)
-        cfg = _cfg(
-            plan=True, plan_fuse="algebraic", thickness_adv_order=4,
-        )
-        compiled_plan(mesh, cfg)
-        path = plan_cache_path(mesh, "h_edge_order4")
-        stale = dict(np.load(path))
-        stale["plan_version"] = np.array(PLAN_CACHE_VERSION + 1)
-        stale["data"] = np.zeros_like(stale["data"])  # poison the payload
-        np.savez_compressed(path, **stale)
-        clear_plan_memory_cache()
-        plan = compiled_plan(mesh, cfg)
-        state, b_cell, f_vertex = _galewsky_inputs(mesh)
-        d = plan.diagnostics(state, f_vertex)
-        ref = compute_solve_diagnostics(
-            mesh, state, f_vertex, _cfg(thickness_adv_order=4)
-        )
-        # Recompiled, not the zeroed load: matches the unfused h_edge.
-        scale = np.max(np.abs(ref.h_edge))
-        assert np.max(np.abs(d.h_edge - ref.h_edge)) <= 1e-12 * scale
-        with np.load(path) as f:
-            assert int(f["plan_version"]) == PLAN_CACHE_VERSION
-        clear_memory_cache()
-
-    def test_memory_only_for_undisk_meshes(self, mesh3, plan_cache):
-        cfg = _cfg(plan=True, plan_fuse="algebraic", thickness_adv_order=4)
-        plan = compiled_plan(mesh3, cfg)
-        # mesh3 is the session fixture: its archives live in the *real*
-        # cache dir; under the redirected dir nothing may appear unless the
-        # mesh identity says disk-cached there.  Composition still works.
-        assert "h_edge_order4" in plan.composed
-
-
-# ---------------------------------------------------------- algebraic mode
-class TestAlgebraicFusion:
-    def test_nothing_to_compose_on_default_config(self, mesh3):
-        plan = compiled_plan(mesh3, _cfg(plan=True, plan_fuse="algebraic"))
-        assert plan.composed == ()
-
-    def test_order3_never_composes(self, mesh3):
-        # sign(u)-dependent coefficients: composition is illegal.
-        plan = compiled_plan(
-            mesh3, _cfg(plan=True, plan_fuse="algebraic", thickness_adv_order=3)
-        )
-        assert "h_edge_order4" not in plan.composed
-
-    @pytest.mark.parametrize(
-        "kw", [dict(thickness_adv_order=4),
-               dict(thickness_adv_order=4, hyperviscosity=1.0e13)],
-        ids=["order4", "order4+del4"],
-    )
-    def test_composed_within_1e12_of_exact(self, mesh3, kw):
-        state, b_cell, f_vertex = _galewsky_inputs(mesh3)
-        exact_cfg = _cfg(plan=True, **kw)
-        alg_cfg = _cfg(plan=True, plan_fuse="algebraic", **kw)
-        d_exact = compute_solve_diagnostics(mesh3, state, f_vertex, exact_cfg)
-        d_alg = compute_solve_diagnostics(mesh3, state, f_vertex, alg_cfg)
-        for f in DIAG_FIELDS:
-            a, b = getattr(d_exact, f), getattr(d_alg, f)
-            scale = max(np.max(np.abs(a)), 1.0)
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale, f
-        t_exact = compute_tend(mesh3, state, d_exact, b_cell, exact_cfg)
-        t_alg = compute_tend(mesh3, state, d_exact, b_cell, alg_cfg)
-        for a, b in zip(t_exact, t_alg):
-            scale = max(np.max(np.abs(a)), 1.0)
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
 # ----------------------------------------------------------- observability

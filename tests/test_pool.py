@@ -230,6 +230,33 @@ class TestPoolObservability:
         assert exchanges == {0: 16.0, 1: 16.0}
         assert span_ranks == {0, 1}
 
+    @pytest.mark.parametrize("schedule,per_step", [("static", 8), ("dataflow", 4)])
+    def test_each_merge_reports_its_own_counters(self, mesh3, schedule, per_step):
+        """Regression: merging worker metrics used to clear the worker's
+        registry, orphaning the ``Counter`` objects the step loop and the
+        dataflow sync hold, so every later ``run()`` on the same pool
+        merged zero exchanges and zero steps."""
+        case = steady_zonal_flow()
+        cfg = SWConfig(
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6), halo_schedule=schedule
+        )
+        with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=TIMEOUT) as pool:
+            for _ in range(2):
+                with use_registry(MetricsRegistry()) as registry:
+                    pool.run(2)
+                per_rank = {}
+                for rec in registry.snapshot():
+                    if "rank" in rec["tags"] and rec["metric"] in (
+                        "halo.exchanges", "pool.worker.steps"
+                    ):
+                        per_rank[rec["metric"], rec["tags"]["rank"]] = rec["value"]
+                assert per_rank == {
+                    ("halo.exchanges", 0): 2.0 * per_step,
+                    ("halo.exchanges", 1): 2.0 * per_step,
+                    ("pool.worker.steps", 0): 2.0,
+                    ("pool.worker.steps", 1): 2.0,
+                }
+
 
 class TestSharedStateBuffers:
     def test_double_buffer_parity_and_global_write(self, rng):
