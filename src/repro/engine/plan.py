@@ -18,9 +18,27 @@ sparse backend — same matvecs against the same lane-ordered CSR matrices,
 same elementwise ufunc sequence — only without the per-dispatch overhead,
 and writing into reused scratch buffers (``out=``, which does not change a
 ufunc's arithmetic).  The result is **bitwise identical** to the unfused
-sparse backend in serial, lockstep, pool and split execution.  Plans never
-compose operator chains into product matrices: that reassociates the row
-sums and would break the bitwise contract.
+sparse backend in serial, lockstep, pool and ensemble execution.  Plans
+never compose operator chains into product matrices: that reassociates
+the row sums and would break the bitwise contract.
+
+One emitter per Table-I label
+-----------------------------
+Each label (``A1`` … ``X6``) has a single emitter, and an emitter writes
+its output variable over a *row set* (:class:`_Rows`): every row for the
+full and batched programs, or the rows a halo refresh taints
+(:func:`~repro.engine.split.propagate_taint`) for the overlap boundary
+program of :class:`OverlapDiagnostics`.  The same stage code serves all
+three, because ``M[rows] @ x`` is bitwise ``(M @ x)[rows]`` and an
+elementwise ufunc does not care which rows it sees.
+
+Split placements
+----------------
+Plans never route.  While a split placement is active
+(:func:`repro.engine.split.use_placements`) :func:`plan_active` is False
+and the kernels take the registry dispatch path, whose band
+reconciliation and ``engine.split`` metrics live there — bitwise the
+plan's result, by exact fusion.
 
 Caching
 -------
@@ -37,12 +55,8 @@ The plan exposes one entry point per Algorithm-1 kernel it fuses
 :meth:`~ExecutionPlan.reconstruct`) rather than one whole-substep program:
 the halo exchanges of Fig. 4 are barriers between those segments
 (:class:`repro.dataflow.schedule.Segment`), and the decomposed executors
-must run them.  When split placements are active
-(:func:`repro.engine.split.use_placements`), any stage whose Table I label
-is split-placed routes through the registry dispatch — preserving the
-band-reconciliation semantics and metrics — which stays bitwise identical
-because CSR row-slicing commutes with the matvec.  When the tracer is
-enabled, every stage runs under a ``category="plan"`` span.
+must run them.  When the tracer is enabled, every stage runs under a
+``category="plan"`` span.
 
 Buffer discipline: the two tendency outputs live in plan-owned buffers
 reused across calls (safe: every consumer reads them before the next
@@ -80,7 +94,7 @@ import scipy.sparse as sp
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .sparse import SPARSE_FALLBACK_OPS, sparse_operator
-from .split import active_placement, placements_active
+from .split import active_placements, propagate_taint
 
 __all__ = [
     "PLAN_FALLBACK_OPS",
@@ -88,6 +102,7 @@ __all__ = [
     "PLAN_LOCAL_LABELS",
     "ExecutionPlan",
     "PlanStage",
+    "plan_active",
     "plan_key",
     "compile_plan",
     "compiled_plan",
@@ -129,10 +144,31 @@ PLANNED_OPS = frozenset(
 #: of a fused kernel program.
 PLAN_LOCAL_LABELS = frozenset({"X1", "X2", "X3", "X4", "X5"})
 
+#: Diagnostics outputs, each with the point space it lives on
+#: (0 cells, 1 edges, 2 vertices).
+_DIAG_OUTPUTS = (
+    ("h_edge", 1), ("ke", 0), ("vorticity", 2), ("divergence", 0), ("v", 1),
+    ("h_vertex", 2), ("pv_vertex", 2), ("pv_cell", 0), ("pv_edge", 1),
+)
+
 _UNSTABLE_MSG = (
     "non-positive h_vertex: the simulation has gone unstable "
     "(reduce dt or check the initial condition)"
 )
+
+
+def plan_active(config) -> bool:
+    """Whether the kernels run ``config``'s fused plan right now.
+
+    The one switch :func:`~repro.swm.tendencies.compute_tend`,
+    :func:`~repro.swm.diagnostics.compute_solve_diagnostics`, the RK
+    integrator and the pool worker consult: ``config.plan``, unless a split
+    placement is active — split labels take the registry dispatch path,
+    which is bitwise the plan's result (exact fusion).
+    """
+    return bool(config.plan) and not any(
+        getattr(p, "device", None) == "split" for p in active_placements().values()
+    )
 
 
 # ------------------------------------------------------------ fast matvec
@@ -223,41 +259,95 @@ def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+
+
 # ------------------------------------------------------------- plan stages
 class PlanStage:
-    """One step of a fused program: a fast closure + optional dispatch route.
+    """One step of a fused program: ``run(ctx)``, a zero-dispatch closure."""
 
-    ``fast(ctx)`` is the zero-dispatch path.  ``routed(ctx)`` (when set)
-    re-enters :meth:`KernelRegistry.dispatch` for the stage's operator; the
-    executor takes it only when a *split* placement is active for
-    ``pattern``, so split semantics (band reconciliation, metrics) are
-    preserved under plans.
-    """
-
-    __slots__ = ("name", "kind", "op", "pattern", "fast", "routed")
+    __slots__ = ("name", "kind", "op", "pattern", "run")
 
     def __init__(
         self,
         name: str,
-        fast: Callable,
+        run: Callable,
         kind: str = "elementwise",
         op: str | None = None,
         pattern: str | None = None,
-        routed: Callable | None = None,
     ) -> None:
         self.name = name
         self.kind = kind
         self.op = op
         self.pattern = pattern
-        self.fast = fast
-        self.routed = routed
+        self.run = run
 
 
-def _split_routed(stage: PlanStage) -> bool:
-    if stage.routed is None or stage.pattern is None:
-        return False
-    p = active_placement(stage.pattern)
-    return p is not None and getattr(p, "device", None) == "split"
+class _Rows:
+    """The rows of one output variable (``key``) that an emitted stage writes.
+
+    ``index=None`` is every row: the full and batched programs, whose
+    stages work on whole arrays and write through the ``out=`` buffers.
+    An index array is an overlap-boundary row set: matrices are presliced
+    to those rows at compile time, elementwise operands are gathered and
+    the result is scattered back into ``ctx[key]``.  Between the stages of
+    one emitter the subset's working copy lives in a private buffer.
+    """
+
+    __slots__ = ("key", "index", "batch", "_buf")
+
+    def __init__(self, key: str, index: np.ndarray | None = None, batch: int = 0):
+        self.key = key
+        self.index = index
+        self.batch = batch
+        self._buf = None if index is None else np.empty(index.size)
+
+    @property
+    def empty(self) -> bool:
+        return self.index is not None and self.index.size == 0
+
+    # -------------------------------------------------------- compile time
+    def mat(self, m: sp.csr_matrix) -> sp.csr_matrix:
+        return m if self.index is None else sp.csr_matrix(m[self.index])
+
+    def const(self, v: np.ndarray) -> np.ndarray:
+        """A per-mesh constant vector over these rows.
+
+        Batched, it goes in as a ``(n, 1)`` column: ``(n,) op (n, N)`` is
+        an invalid broadcast, and broadcasting is per-column bitwise
+        identical to the serial elementwise op.
+        """
+        if self.index is not None:
+            return v[self.index]
+        return v[:, None] if self.batch else v
+
+    def scratch(self, full: np.ndarray) -> np.ndarray:
+        return full if self.index is None else np.empty(self.index.size)
+
+    # ------------------------------------------------------------ run time
+    def take(self, x: np.ndarray) -> np.ndarray:
+        return x if self.index is None else x[self.index]
+
+    def out(self, ctx: dict) -> np.ndarray:
+        return ctx[self.key] if self.index is None else self._buf
+
+    def put(self, ctx: dict, value: np.ndarray) -> None:
+        if self.index is not None:
+            ctx[self.key][self.index] = value
+
+
+def _check_h_vertex(ctx: dict, h_vertex: np.ndarray) -> None:
+    """The ``E1`` stability guard: non-positive ``h_vertex`` is unstable.
+
+    With ``ctx["unstable"] is None`` it raises like the unfused kernel;
+    with a bool mask it OR-s per-member flags in (a batched member, or the
+    overlap interior pass, whose stale halo may read non-positive).
+    """
+    bad = np.any(h_vertex <= 0.0, axis=0)
+    if bad.any():
+        flags = ctx["unstable"]
+        if flags is None:
+            raise FloatingPointError(_UNSTABLE_MSG)
+        np.logical_or(flags, bad, out=flags)
 
 
 # ------------------------------------------------------------ the compiler
@@ -293,7 +383,59 @@ def unplanned_labels(config=None) -> set[str]:
     return {lab for lab in labels if lab not in handled}
 
 
-class ExecutionPlan:
+class _Program:
+    """Stage runner and ctx builder shared by every compiled program."""
+
+    def __init__(self, mesh, key: tuple, buffers: dict, batch: int = 0) -> None:
+        self._mesh = weakref.ref(mesh)
+        self.key = key
+        #: 0 for a serial plan; N > 0 when the stages run over (n, N) blocks.
+        self.batch = int(batch)
+        self._buffers = buffers
+        self._n = (mesh.nCells, mesh.nEdges, mesh.nVertices)
+
+    def _run(self, stages: list[PlanStage], ctx: dict) -> None:
+        tracer = get_tracer()
+        if tracer.enabled:
+            for st in stages:
+                with tracer.span(
+                    st.name,
+                    category="plan",
+                    stage_kind=st.kind,
+                    op=st.op or "-",
+                    pattern=st.pattern or "-",
+                ):
+                    st.run(ctx)
+        else:
+            for st in stages:
+                st.run(ctx)
+
+    def _ctx(self, **runtime) -> dict:
+        ctx = dict(self._buffers)
+        ctx["mesh"] = self._mesh()
+        ctx.update(runtime)
+        return ctx
+
+    def _diag_ctx(self, state, f_vertex, unstable) -> dict:
+        """The diagnostics ctx, with fresh output arrays (callers keep them)."""
+        if self.batch:
+            if f_vertex.ndim == 1:
+                f_vertex = f_vertex[:, None]
+            outputs = {k: np.empty((self._n[s], self.batch)) for k, s in _DIAG_OUTPUTS}
+        else:
+            outputs = {k: np.empty(self._n[s]) for k, s in _DIAG_OUTPUTS}
+        return self._ctx(
+            h=state.h, u=state.u, f=f_vertex, unstable=unstable, **outputs
+        )
+
+    @staticmethod
+    def _diagnostics(ctx: dict):
+        from ..swm.state import Diagnostics
+
+        return Diagnostics(**{k: ctx[k] for k, _ in _DIAG_OUTPUTS})
+
+
+class ExecutionPlan(_Program):
     """A compiled, fused RK-substep program for one ``(mesh, config)``."""
 
     def __init__(
@@ -306,43 +448,10 @@ class ExecutionPlan:
         buffers: dict[str, np.ndarray],
         batch: int = 0,
     ) -> None:
-        self._mesh = weakref.ref(mesh)
-        self.key = key
-        #: 0 for a serial plan; N > 0 when the stages run over (n, N) blocks.
-        self.batch = int(batch)
+        super().__init__(mesh, key, buffers, batch)
         self._tend = tend_stages
         self._diag = diag_stages
         self._recon = recon_stages
-        self._buffers = buffers
-        self._n = (mesh.nCells, mesh.nEdges, mesh.nVertices)
-
-    # ------------------------------------------------------------ executor
-    def _run(self, stages: list[PlanStage], ctx: dict) -> None:
-        tracer = get_tracer()
-        routed = placements_active()
-        if tracer.enabled:
-            for st in stages:
-                fn = st.routed if (routed and _split_routed(st)) else st.fast
-                with tracer.span(
-                    st.name,
-                    category="plan",
-                    stage_kind=st.kind,
-                    op=st.op or "-",
-                    pattern=st.pattern or "-",
-                ):
-                    fn(ctx)
-        elif routed:
-            for st in stages:
-                (st.routed if _split_routed(st) else st.fast)(ctx)
-        else:
-            for st in stages:
-                st.fast(ctx)
-
-    def _ctx(self, **runtime) -> dict:
-        ctx = dict(self._buffers)
-        ctx["mesh"] = self._mesh()
-        ctx.update(runtime)
-        return ctx
 
     # ------------------------------------------------------- kernel bodies
     def tend(self, state, diag, b_cell) -> tuple[np.ndarray, np.ndarray]:
@@ -370,47 +479,10 @@ class ExecutionPlan:
         flags into it instead of raising, so one diverging member cannot
         stall the batch.  ``None`` keeps the serial raise semantics.
         """
-        from ..swm.state import Diagnostics
-
-        n_cells, n_edges, n_vertices = self._n
-        if self.batch:
-            shp = lambda n: (n, self.batch)  # noqa: E731
-        else:
-            shp = lambda n: n  # noqa: E731
         with get_registry().timer("engine.plan", segment="diagnostics").time():
-            f = (
-                f_vertex[:, None]
-                if (self.batch and f_vertex.ndim == 1)
-                else f_vertex
-            )
-            ctx = self._ctx(
-                h=state.h,
-                u=state.u,
-                f=f,
-                h_edge=np.empty(shp(n_edges)),
-                ke=np.empty(shp(n_cells)),
-                vorticity=np.empty(shp(n_vertices)),
-                divergence=np.empty(shp(n_cells)),
-                v=np.empty(shp(n_edges)),
-                h_vertex=np.empty(shp(n_vertices)),
-                pv_vertex=np.empty(shp(n_vertices)),
-                pv_cell=np.empty(shp(n_cells)),
-                pv_edge=np.empty(shp(n_edges)),
-            )
-            if unstable is not None:
-                ctx["unstable"] = unstable
+            ctx = self._diag_ctx(state, f_vertex, unstable)
             self._run(self._diag, ctx)
-            return Diagnostics(
-                h_edge=ctx["h_edge"],
-                ke=ctx["ke"],
-                vorticity=ctx["vorticity"],
-                divergence=ctx["divergence"],
-                v=ctx["v"],
-                h_vertex=ctx["h_vertex"],
-                pv_vertex=ctx["pv_vertex"],
-                pv_cell=ctx["pv_cell"],
-                pv_edge=ctx["pv_edge"],
-            )
+            return self._diagnostics(ctx)
 
     def reconstruct(self, u_edge):
         """Fused ``mpas_reconstruct``: the (A4, X6) segment of stage 4."""
@@ -445,6 +517,11 @@ class _Compiler:
     topological schedule.  Every closure captures matrices, buffers and
     scalars — never the mesh or the compiler — so a cached plan does not
     keep its (weakly referenced) mesh alive.
+
+    With :attr:`taint` unset the emitters write every row (the full and
+    batched programs).  :meth:`compile_boundary` sets it to the rows a
+    halo refresh invalidates and re-runs the same emitters, which then
+    write only the rows each output's dependency cone reaches.
     """
 
     #: Labels this compiler can emit stages for (the lint's other half is
@@ -460,6 +537,11 @@ class _Compiler:
         self.registry = registry
         #: 0 compiles the serial plan; N > 0 compiles over (n, N) blocks.
         self.batch = int(batch)
+        #: Variable -> bool mask of rows a halo refresh invalidates, or
+        #: ``None`` while compiling the full program.
+        self.taint: dict[str, np.ndarray] | None = None
+        #: Tainted output rows the boundary program recomputes.
+        self.boundary_points = 0
         n_cells, n_edges, n_vertices = mesh.nCells, mesh.nEdges, mesh.nVertices
         shape = self._shape
         self.buffers: dict[str, np.ndarray] = {
@@ -473,37 +555,40 @@ class _Compiler:
         self._c1 = np.zeros(shape(n_cells))
         self._v1 = np.zeros(shape(n_vertices))
         if config.thickness_adv_order > 2:
-            self._d2 = np.zeros(shape(2 * n_edges))
+            self._d2 = self.buffers["d2"] = np.zeros(shape(2 * n_edges))
         if self.batch:
             self._q = np.zeros(shape(n_edges))
 
     def _shape(self, n: int):
         return (n, self.batch) if self.batch else (n,)
 
-    def _col(self, v: np.ndarray) -> np.ndarray:
-        """A per-mesh constant vector, as a broadcastable column when batched.
-
-        ``(n,) op (n, N)`` is an invalid numpy broadcast, so every mesh
-        vector a batched stage multiplies a member block with must go in
-        as ``(n, 1)``.  Broadcasting is per-column bitwise identical to
-        the serial elementwise op.
-        """
-        return v[:, None] if self.batch else v
-
     def matrix(self, name: str) -> sp.csr_matrix:
         return sparse_operator(self.mesh, name)
 
-    def _route(self, op: str, out_key: str, *in_keys: str) -> Callable:
-        """A routed closure: registry dispatch copied into the plan buffer."""
-        reg = self.registry
+    def rows(self, key: str, *deps, block: int = 1) -> _Rows:
+        """The rows of output ``key`` this compile pass writes.
 
-        def routed(ctx):
-            res = reg.dispatch(
-                op, ctx["mesh"], *(ctx[k] for k in in_keys), backend="sparse"
-            )
-            np.copyto(ctx[out_key], res)
-
-        return routed
+        ``deps`` name what the output reads: ``(matrix, var)`` for a
+        stencil read of ``var``, a bare ``var`` for a same-row read.  In a
+        boundary pass the output's taint is the union of its dependencies'
+        taint cones; ``block`` collapses a block-row operator's rows to
+        one flag per output point (the fused ``d2fdx2`` pair).
+        """
+        if self.taint is None:
+            return _Rows(key, batch=self.batch)
+        mask = None
+        for dep in deps:
+            if isinstance(dep, tuple):
+                m = propagate_taint(dep[0], self.taint[dep[1]], block=block)
+            else:
+                m = self.taint[dep]
+            mask = m if mask is None else mask | m
+        self.taint[key] = mask
+        index = np.flatnonzero(mask)
+        self.boundary_points += int(index.size)
+        if block > 1:
+            index = (block * index[:, None] + np.arange(block)).ravel()
+        return _Rows(key, index)
 
     # ----------------------------------------------------------- emitters
     def compile_kernel(self, sched, kernel: str) -> list[PlanStage]:
@@ -516,53 +601,63 @@ class _Compiler:
                     f"no plan emitter for Table I label {label!r} "
                     f"(node {node!r}); add one or whitelist it"
                 )
-            stages.extend(emit(sched))
+            stages.extend(emit())
         return stages
 
-    def _emit_A1(self, sched) -> list[PlanStage]:
+    def compile_boundary(self, sched, cell_mask, edge_mask) -> list[PlanStage]:
+        """The diagnostics emitters again, over the rows a refresh taints."""
+        self.taint = {"h": cell_mask, "u": edge_mask}
+        stages = self.compile_kernel(sched, "compute_solve_diagnostics")
+        for st in stages:
+            st.name += "@boundary"
+        return stages
+
+    def _matvec_stage(self, name, op, pattern, key, in_key, block=1) -> list[PlanStage]:
+        """``key = M @ in_key`` over this pass's rows of ``key``."""
+        M = self.matrix(op)
+        rows = self.rows(key, (M, in_key), block=block)
+        if rows.empty:
+            return []
+        Mr = rows.mat(M)
+
+        def run(ctx):
+            out = rows.out(ctx)
+            _matvec(Mr, ctx[in_key], out)
+            rows.put(ctx, out)
+
+        return [PlanStage(name, run, kind="matvec", op=op, pattern=pattern)]
+
+    def _emit_A1(self) -> list[PlanStage]:
         M = self.matrix("cell_divergence")
         e1, c1 = self._e1, self._c1
 
-        def fast(ctx):
+        def run(ctx):
             np.multiply(ctx["u"], ctx["h_edge"], out=e1)
             _matvec(M, e1, c1)
             np.negative(c1, out=ctx["tend_h"])
 
-        reg = self.registry
-
-        def routed(ctx):
-            res = reg.dispatch(
-                "flux_divergence", ctx["mesh"], ctx["u"], ctx["h_edge"],
-                backend="sparse",
-            )
-            np.negative(res, out=ctx["tend_h"])
-
         return [
             PlanStage(
-                "flux_divergence", fast, kind="matvec",
-                op="flux_divergence", pattern="A1", routed=routed,
+                "flux_divergence", run, kind="matvec",
+                op="flux_divergence", pattern="A1",
             )
         ]
 
-    def _emit_B1(self, sched) -> list[PlanStage]:
+    def _emit_B1(self) -> list[PlanStage]:
         if self.config.advection_only:
             def freeze(ctx):
                 ctx["tend_u"].fill(0.0)
 
             return [PlanStage("freeze_u", freeze, kind="elementwise")]
 
-        stages: list[PlanStage] = []
-        reg = self.registry
-        coriolis = reg.op("coriolis_edge_term").impls["numpy"]
-
+        coriolis = self.registry.op("coriolis_edge_term").impls["numpy"]
         if self.batch:
             # The one non-linear stage: loop members over contiguous column
             # copies of the serial numpy kernel, so each column stays
             # bitwise identical to the serial stage.
-            n_members = self.batch
-            q = self._q
+            n_members, q = self.batch, self._q
 
-            def cor_fast(ctx):
+            def cor(ctx):
                 mesh = ctx["mesh"]
                 u, h_edge, pv_edge = ctx["u"], ctx["h_edge"], ctx["pv_edge"]
                 for k in range(n_members):
@@ -573,32 +668,24 @@ class _Compiler:
                         np.ascontiguousarray(pv_edge[:, k]),
                     )
                 ctx["q"] = q
-
-            cor_routed = cor_fast
         else:
-            def cor_fast(ctx):
+            def cor(ctx):
                 ctx["q"] = coriolis(
                     ctx["mesh"], ctx["u"], ctx["h_edge"], ctx["pv_edge"]
                 )
 
-            def cor_routed(ctx):
-                ctx["q"] = reg.dispatch(
-                    "coriolis_edge_term", ctx["mesh"], ctx["u"], ctx["h_edge"],
-                    ctx["pv_edge"], backend="sparse",
-                )
-
-        stages.append(
+        stages = [
             PlanStage(
-                "coriolis_edge_term", cor_fast, kind="fallback",
-                op="coriolis_edge_term", pattern="B1", routed=cor_routed,
+                "coriolis_edge_term", cor, kind="fallback",
+                op="coriolis_edge_term", pattern="B1",
             )
-        )
+        ]
 
         Mgc = self.matrix("edge_gradient_of_cell")
         g = self.config.gravity
         e1, c1 = self._e1, self._c1
 
-        def bern_fast(ctx):
+        def bernoulli(ctx):
             np.add(ctx["h"], ctx["b"], out=c1)
             np.multiply(c1, g, out=c1)
             np.add(ctx["ke"], c1, out=c1)
@@ -607,7 +694,7 @@ class _Compiler:
 
         stages.append(
             PlanStage(
-                "bernoulli_gradient", bern_fast, kind="matvec",
+                "bernoulli_gradient", bernoulli, kind="matvec",
                 op="edge_gradient_of_cell",
             )
         )
@@ -617,16 +704,14 @@ class _Compiler:
             visc = self.config.viscosity
             e2 = self._e2
 
-            def visc_fast(ctx):
+            def del2(ctx):
                 _matvec(Mgc, ctx["divergence"], e1)
                 _matvec(Mgv, ctx["vorticity"], e2)
                 np.subtract(e1, e2, out=e1)
                 np.multiply(e1, visc, out=e1)
                 np.add(ctx["tend_u"], e1, out=ctx["tend_u"])
 
-            stages.append(
-                PlanStage("del2_dissipation", visc_fast, kind="matvec")
-            )
+            stages.append(PlanStage("del2_dissipation", del2, kind="matvec"))
 
         if self.config.hyperviscosity != 0.0:
             stages.append(self._hyperviscosity_stage())
@@ -635,14 +720,12 @@ class _Compiler:
     def _hyperviscosity_stage(self) -> PlanStage:
         Mgc = self.matrix("edge_gradient_of_cell")
         Mgv = self.matrix("edge_gradient_of_vertex")
-        hv = self.config.hyperviscosity
-        e1, e2, e3, c1, v1 = self._e1, self._e2, self._e3, self._c1, self._v1
-        reg = self.registry
-
         Mdiv = self.matrix("cell_divergence")
         Mcurl = self.matrix("vertex_curl")
+        hv = self.config.hyperviscosity
+        e1, e2, e3, c1, v1 = self._e1, self._e2, self._e3, self._c1, self._v1
 
-        def fast(ctx):
+        def del4(ctx):
             _matvec(Mgc, ctx["divergence"], e1)
             _matvec(Mgv, ctx["vorticity"], e2)
             np.subtract(e1, e2, out=e1)  # del2_u
@@ -654,277 +737,237 @@ class _Compiler:
             np.multiply(e2, hv, out=e2)
             np.subtract(ctx["tend_u"], e2, out=ctx["tend_u"])
 
-        def routed(ctx):
-            # Mirror the unfused dispatch sequence so A3/H1 split
-            # placements keep their band semantics inside the del4 chain.
-            mesh = ctx["mesh"]
-            del2 = reg.dispatch(
-                "edge_gradient_of_cell", mesh, ctx["divergence"], backend="sparse"
-            ) - reg.dispatch(
-                "edge_gradient_of_vertex", mesh, ctx["vorticity"], backend="sparse"
-            )
-            div2 = reg.dispatch("cell_divergence", mesh, del2, backend="sparse")
-            vort2 = reg.dispatch("vertex_curl", mesh, del2, backend="sparse")
-            del4 = reg.dispatch(
-                "edge_gradient_of_cell", mesh, div2, backend="sparse"
-            ) - reg.dispatch(
-                "edge_gradient_of_vertex", mesh, vort2, backend="sparse"
-            )
-            np.multiply(del4, hv, out=e2)
-            np.subtract(ctx["tend_u"], e2, out=ctx["tend_u"])
+        return PlanStage("del4_dissipation", del4, kind="matvec", pattern="A3,H1")
 
-        return PlanStage(
-            "del4_dissipation", fast, kind="matvec", pattern="A3,H1", routed=routed
-        )
-
-    def _emit_C1(self, sched) -> list[PlanStage]:
+    def _emit_C1(self) -> list[PlanStage]:
         if self.config.thickness_adv_order == 2:
             return []
-        Md2 = self.matrix("d2fdx2")
-        d2 = self._d2
+        # One two-row matvec per edge computes both C1 and C2.
+        return self._matvec_stage("d2fdx2", "d2fdx2", None, "d2", "h", block=2)
 
-        def fast(ctx):
-            _matvec(Md2, ctx["h"], d2)
-
-        # Tuple-valued and no_split in the registry: never routed.
-        return [PlanStage("d2fdx2", fast, kind="matvec", op="d2fdx2")]
-
-    def _emit_C2(self, sched) -> list[PlanStage]:
+    def _emit_C2(self) -> list[PlanStage]:
         return []  # computed by the fused C1 sweep (one two-row matvec)
 
-    def _emit_D1(self, sched) -> list[PlanStage]:
+    def _emit_D1(self) -> list[PlanStage]:
         order = self.config.thickness_adv_order
         Mmean = self.matrix("cell_to_edge_mean")
+        deps = [(Mmean, "h")]
+        if order > 2:
+            deps.append("d2")
+        if order == 3:
+            deps.append("u")
+        rows = self.rows("h_edge", *deps)
+        if rows.empty:
+            return []
+        Mr = rows.mat(Mmean)
+
+        def mean(ctx):
+            he = rows.out(ctx)
+            _matvec(Mr, ctx["h"], he)
+            rows.put(ctx, he)
+
         stages = [
             PlanStage(
-                "cell_to_edge_mean",
-                lambda ctx, M=Mmean: _matvec(M, ctx["h"], ctx["h_edge"]),
-                kind="matvec",
-                op="cell_to_edge_mean",
-                pattern="D1",
-                routed=self._route("cell_to_edge_mean", "h_edge", "h"),
+                "cell_to_edge_mean", mean, kind="matvec",
+                op="cell_to_edge_mean", pattern="D1",
             )
         ]
         if order == 2:
             return stages
 
-        d2 = self._d2
-        d2_1, d2_2 = d2[0::2], d2[1::2]
-        e1, e2 = self._e1, self._e2
-        dc2_12 = self._col(self.mesh.metrics.dcEdge**2 / 12.0)
+        d2_1, d2_2 = self._d2[0::2], self._d2[1::2]
+        e1, e2 = rows.scratch(self._e1), rows.scratch(self._e2)
+        dc2_12 = rows.const(self.mesh.metrics.dcEdge**2 / 12.0)
         dc2_half = dc2_12 * 0.5
 
-        def corr_fast(ctx):
-            np.add(d2_1, d2_2, out=e1)
+        def correction(ctx):
+            he = rows.out(ctx)
+            np.add(rows.take(d2_1), rows.take(d2_2), out=e1)
             np.multiply(e1, dc2_half, out=e1)
-            np.subtract(ctx["h_edge"], e1, out=ctx["h_edge"])
+            np.subtract(he, e1, out=he)
+            rows.put(ctx, he)
 
-        stages.append(PlanStage("h_edge_correction", corr_fast))
+        stages.append(PlanStage("h_edge_correction", correction))
         if order == 3:
             coef = self.config.coef_3rd_order
 
-            def upwind_fast(ctx):
-                np.sign(ctx["u"], out=e2)
+            def upwind(ctx):
+                he = rows.out(ctx)
+                np.sign(rows.take(ctx["u"]), out=e2)
                 np.multiply(e2, coef, out=e2)
                 np.multiply(e2, dc2_12, out=e2)
                 np.multiply(e2, 0.5, out=e2)
-                np.subtract(d2_2, d2_1, out=e1)
+                np.subtract(rows.take(d2_2), rows.take(d2_1), out=e1)
                 np.multiply(e2, e1, out=e2)
-                np.add(ctx["h_edge"], e2, out=ctx["h_edge"])
+                np.add(he, e2, out=he)
+                rows.put(ctx, he)
 
-            stages.append(PlanStage("h_edge_upwind3", upwind_fast))
+            stages.append(PlanStage("h_edge_upwind3", upwind))
         return stages
 
-    def _emit_A2(self, sched) -> list[PlanStage]:
+    def _emit_A2(self) -> list[PlanStage]:
         M = self.matrix("kinetic_energy")
-        e1 = self._e1
+        rows = self.rows("ke", (M, "u"))
+        if rows.empty:
+            return []
+        Mr, usq = rows.mat(M), self._e1
 
-        def fast(ctx):
-            np.multiply(ctx["u"], ctx["u"], out=e1)
-            _matvec(M, e1, ctx["ke"])
+        def run(ctx):
+            ke = rows.out(ctx)
+            np.multiply(ctx["u"], ctx["u"], out=usq)
+            _matvec(Mr, usq, ke)
+            rows.put(ctx, ke)
 
         return [
             PlanStage(
-                "kinetic_energy", fast, kind="matvec",
+                "kinetic_energy", run, kind="matvec",
                 op="kinetic_energy", pattern="A2",
-                routed=self._route("kinetic_energy", "ke", "u"),
             )
         ]
 
-    def _plain_matvec(self, name, op, pattern, out_key, in_key) -> PlanStage:
-        M = self.matrix(op)
-
-        def fast(ctx):
-            _matvec(M, ctx[in_key], ctx[out_key])
-
-        return PlanStage(
-            name, fast, kind="matvec", op=op, pattern=pattern,
-            routed=self._route(op, out_key, in_key),
+    def _emit_A3(self) -> list[PlanStage]:
+        return self._matvec_stage(
+            "divergence", "cell_divergence", "A3", "divergence", "u"
         )
 
-    def _emit_A3(self, sched) -> list[PlanStage]:
-        return [
-            self._plain_matvec("divergence", "cell_divergence", "A3", "divergence", "u")
-        ]
+    def _emit_H1(self) -> list[PlanStage]:
+        return self._matvec_stage("vorticity", "vertex_curl", "H1", "vorticity", "u")
 
-    def _emit_H1(self, sched) -> list[PlanStage]:
-        return [self._plain_matvec("vorticity", "vertex_curl", "H1", "vorticity", "u")]
+    def _emit_B2(self) -> list[PlanStage]:
+        return self._matvec_stage(
+            "tangential_velocity", "tangential_velocity", "B2", "v", "u"
+        )
 
-    def _emit_B2(self, sched) -> list[PlanStage]:
-        return [
-            self._plain_matvec(
-                "tangential_velocity", "tangential_velocity", "B2", "v", "u"
-            )
-        ]
-
-    def _emit_E1(self, sched) -> list[PlanStage]:
+    def _emit_E1(self) -> list[PlanStage]:
+        # Never empty, even in a boundary pass: the stage also owns the
+        # stability check over the whole (now fresh) h_vertex.
         M = self.matrix("vertex_from_cells_kite")
-        reg = self.registry
+        hv_rows = self.rows("h_vertex", (M, "h"))
+        pv_rows = self.rows("pv_vertex", "h_vertex", "vorticity")
+        Mr = hv_rows.mat(M)
 
-        if self.batch:
-            # Batched stability semantics: a non-positive h_vertex is a
-            # *per-member* event.  With an ``unstable`` mask in the ctx the
-            # offending members are flagged (OR-ed in) and the divide runs
-            # under errstate so their columns go inf/nan without stalling
-            # or perturbing the healthy columns (columns are independent);
-            # without a mask the serial raise is preserved.
-            def pv_vertex(ctx):
-                hv = ctx["h_vertex"]
-                bad = np.any(hv <= 0.0, axis=0)
-                if bad.any():
-                    flags = ctx.get("unstable")
-                    if flags is None:
-                        raise FloatingPointError(_UNSTABLE_MSG)
-                    np.logical_or(flags, bad, out=flags)
-                np.add(ctx["f"], ctx["vorticity"], out=ctx["pv_vertex"])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(ctx["pv_vertex"], hv, out=ctx["pv_vertex"])
-        else:
-            def pv_vertex(ctx):
-                hv = ctx["h_vertex"]
-                if np.any(hv <= 0.0):
-                    raise FloatingPointError(_UNSTABLE_MSG)
-                np.add(ctx["f"], ctx["vorticity"], out=ctx["pv_vertex"])
-                np.divide(ctx["pv_vertex"], hv, out=ctx["pv_vertex"])
-
-        def fast(ctx):
-            _matvec(M, ctx["h"], ctx["h_vertex"])
-            pv_vertex(ctx)
-
-        def routed(ctx):
-            np.copyto(
-                ctx["h_vertex"],
-                reg.dispatch(
-                    "vertex_from_cells_kite", ctx["mesh"], ctx["h"], backend="sparse"
-                ),
-            )
-            pv_vertex(ctx)
+        def run(ctx):
+            hv = hv_rows.out(ctx)
+            _matvec(Mr, ctx["h"], hv)
+            hv_rows.put(ctx, hv)
+            _check_h_vertex(ctx, ctx["h_vertex"])
+            pv = pv_rows.out(ctx)
+            np.add(pv_rows.take(ctx["f"]), pv_rows.take(ctx["vorticity"]), out=pv)
+            # Flagged members (and a stale overlap halo) divide by a
+            # non-positive h_vertex: their columns go inf/nan silently,
+            # and columns are independent.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(pv, pv_rows.take(ctx["h_vertex"]), out=pv)
+            pv_rows.put(ctx, pv)
 
         return [
             PlanStage(
-                "pv_vertex", fast, kind="matvec",
-                op="vertex_from_cells_kite", pattern="E1", routed=routed,
+                "pv_vertex", run, kind="matvec",
+                op="vertex_from_cells_kite", pattern="E1",
             )
         ]
 
-    def _emit_F1(self, sched) -> list[PlanStage]:
-        return [
-            self._plain_matvec(
-                "pv_cell", "cell_from_vertices_kite", "F1", "pv_cell", "pv_vertex"
-            )
-        ]
+    def _emit_F1(self) -> list[PlanStage]:
+        return self._matvec_stage(
+            "pv_cell", "cell_from_vertices_kite", "F1", "pv_cell", "pv_vertex"
+        )
 
-    def _emit_G1(self, sched) -> list[PlanStage]:
-        stages = [
-            self._plain_matvec(
-                "pv_edge", "vertex_to_edge_mean", "G1", "pv_edge", "pv_vertex"
-            )
-        ]
-        if self.config.apvm_upwinding != 0.0:
+    def _emit_G1(self) -> list[PlanStage]:
+        Mvte = self.matrix("vertex_to_edge_mean")
+        apvm = self.config.apvm_upwinding != 0.0
+        deps = [(Mvte, "pv_vertex")]
+        if apvm:
             Mgv = self.matrix("edge_gradient_of_vertex")
             Mgc = self.matrix("edge_gradient_of_cell")
-            factor = self.config.apvm_upwinding * self.config.dt
-            e1, e2 = self._e1, self._e2
+            deps += [(Mgv, "pv_vertex"), (Mgc, "pv_cell"), "v", "u"]
+        rows = self.rows("pv_edge", *deps)
+        if rows.empty:
+            return []
+        Mr = rows.mat(Mvte)
 
-            def apvm_fast(ctx):
-                _matvec(Mgv, ctx["pv_vertex"], e1)
-                _matvec(Mgc, ctx["pv_cell"], e2)
-                np.multiply(ctx["v"], e1, out=e1)
-                np.multiply(ctx["u"], e2, out=e2)
-                np.add(e1, e2, out=e1)
-                np.multiply(e1, factor, out=e1)
-                np.subtract(ctx["pv_edge"], e1, out=ctx["pv_edge"])
+        def mean(ctx):
+            pe = rows.out(ctx)
+            _matvec(Mr, ctx["pv_vertex"], pe)
+            rows.put(ctx, pe)
 
-            stages.append(PlanStage("apvm_upwinding", apvm_fast, kind="matvec"))
+        stages = [
+            PlanStage(
+                "pv_edge", mean, kind="matvec",
+                op="vertex_to_edge_mean", pattern="G1",
+            )
+        ]
+        if not apvm:
+            return stages
+
+        Mgv_r, Mgc_r = rows.mat(Mgv), rows.mat(Mgc)
+        factor = self.config.apvm_upwinding * self.config.dt
+        e1, e2 = rows.scratch(self._e1), rows.scratch(self._e2)
+
+        def upwinding(ctx):
+            pe = rows.out(ctx)
+            _matvec(Mgv_r, ctx["pv_vertex"], e1)
+            _matvec(Mgc_r, ctx["pv_cell"], e2)
+            np.multiply(rows.take(ctx["v"]), e1, out=e1)
+            np.multiply(rows.take(ctx["u"]), e2, out=e2)
+            np.add(e1, e2, out=e1)
+            np.multiply(e1, factor, out=e1)
+            np.subtract(pe, e1, out=pe)
+            rows.put(ctx, pe)
+
+        stages.append(PlanStage("apvm_upwinding", upwinding, kind="matvec"))
         return stages
 
-    def _emit_A4(self, sched) -> list[PlanStage]:
+    def _emit_A4(self) -> list[PlanStage]:
         M = self.matrix("velocity_reconstruction")
-        reg = self.registry
+        # (3n, N) row-major reshaped to (n, 3, N): column k is the serial
+        # (n, 3) reconstruction of member k, bit for bit.
+        shape = (-1, 3, self.batch) if self.batch else (-1, 3)
 
-        if self.batch:
-            n_members = self.batch
-
-            def fast(ctx):
-                # (3n, N) row-major reshaped to (n, 3, N): column k is the
-                # serial (n, 3) reconstruction of member k, bit for bit.
-                ctx["U"] = (M @ ctx["u"]).reshape(-1, 3, n_members)
-
-            routed = fast
-        else:
-            def fast(ctx):
-                ctx["U"] = (M @ ctx["u"]).reshape(-1, 3)
-
-            def routed(ctx):
-                ctx["U"] = reg.dispatch(
-                    "velocity_reconstruction", ctx["mesh"], ctx["u"],
-                    backend="sparse",
-                )
+        def run(ctx):
+            ctx["U"] = (M @ ctx["u"]).reshape(shape)
 
         return [
             PlanStage(
-                "velocity_reconstruction", fast, kind="matvec",
-                op="velocity_reconstruction", pattern="A4", routed=routed,
+                "velocity_reconstruction", run, kind="matvec",
+                op="velocity_reconstruction", pattern="A4",
             )
         ]
 
-    def _emit_X6(self, sched) -> list[PlanStage]:
+    def _emit_X6(self) -> list[PlanStage]:
         from ..geometry.sphere import tangent_basis
 
         east, north = tangent_basis(self.mesh.metrics.xCell)
         if self.batch:
             east, north = east[:, :, None], north[:, :, None]
 
-        def fast(ctx):
+        def run(ctx):
             U = ctx["U"]
             ctx["zonal"] = np.sum(U * east, axis=1)
             ctx["meridional"] = np.sum(U * north, axis=1)
 
-        return [PlanStage("tangent_rotation", fast)]
+        return [PlanStage("tangent_rotation", run)]
 
 
 # ----------------------------------------- interior/boundary overlap split
-class OverlapDiagnostics:
+class OverlapDiagnostics(_Program):
     """The fused diagnostics program split for compute/communication overlap.
 
     A decomposed rank that has just *published* its owned boundary slices
     does not need its peers' values to compute most of its diagnostics —
     only the rows whose dependency cone reaches the halo points the next
-    acquire will refresh.  This object holds the same fused stage program
-    as :meth:`ExecutionPlan.diagnostics` split in two:
+    acquire will refresh.  This object holds the fused diagnostics program
+    twice, from the same emitters:
 
     1. ``diag, ctx = overlap.interior(state, f_vertex)`` — runs the *full*
-       stage program against the pre-acquire (stale-halo) state.  Rows with
-       no halo ancestry are already bitwise-final; tainted rows hold
-       garbage.  The ``E1`` stability check is deferred (a stale halo could
-       falsely trip it) and the ``pv_vertex`` divide runs under
-       ``np.errstate`` so a stale non-positive ``h_vertex`` cannot warn.
+       program against the pre-acquire (stale-halo) state.  Rows with no
+       halo ancestry are already bitwise-final; tainted rows hold garbage.
+       The ``E1`` stability check only flags (a stale halo could falsely
+       trip it) and the pass runs under ``np.errstate``.
     2. the caller acquires the exchange, refreshing the state halo *in
        place* (``ctx`` aliases the state arrays, so the refresh is visible)
     3. ``overlap.boundary(ctx)`` — recomputes exactly the tainted rows of
-       every output (compile-time presliced CSR rows + elementwise ops in
-       the same per-element order as the full stages) and runs the
-       deferred stability check over the now-fresh ``h_vertex``.
+       every output and runs the stability check over the now-fresh
+       ``h_vertex``, raising like the full plan.
 
     The result is **bitwise identical**, for every Diagnostics field at
     every local point, to running :meth:`ExecutionPlan.diagnostics` after
@@ -943,28 +986,12 @@ class OverlapDiagnostics:
         buffers: dict[str, np.ndarray],
         boundary_points: int,
     ) -> None:
-        self._mesh = weakref.ref(mesh)
-        self.key = key
+        super().__init__(mesh, key, buffers)
         self._interior = interior_stages
         self._boundary = boundary_stages
-        self._buffers = buffers
         #: Total tainted output rows the boundary pass recomputes (the
         #: redundant-work price of the overlap; owned + halo rows).
         self.boundary_points = boundary_points
-        self._n = (mesh.nCells, mesh.nEdges, mesh.nVertices)
-
-    def _run(self, stages: list[PlanStage], ctx: dict) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
-            for st in stages:
-                with tracer.span(
-                    st.name, category="plan", stage_kind=st.kind,
-                    op=st.op or "-", pattern=st.pattern or "-",
-                ):
-                    st.fast(ctx)
-        else:
-            for st in stages:
-                st.fast(ctx)
 
     def interior(self, state, f_vertex):
         """Full-array diagnostics on the pre-acquire state.
@@ -972,308 +999,17 @@ class OverlapDiagnostics:
         Returns ``(diag, ctx)``; ``diag`` is final except at tainted rows,
         ``ctx`` must be handed to :meth:`boundary` after the halo refresh.
         """
-        from ..swm.state import Diagnostics
-
-        n_cells, n_edges, n_vertices = self._n
         with get_registry().timer("engine.plan", segment="diag_interior").time():
-            ctx = dict(self._buffers)
-            ctx["mesh"] = self._mesh()
-            ctx.update(
-                h=state.h,
-                u=state.u,
-                f=f_vertex,
-                h_edge=np.empty(n_edges),
-                ke=np.empty(n_cells),
-                vorticity=np.empty(n_vertices),
-                divergence=np.empty(n_cells),
-                v=np.empty(n_edges),
-                h_vertex=np.empty(n_vertices),
-                pv_vertex=np.empty(n_vertices),
-                pv_cell=np.empty(n_cells),
-                pv_edge=np.empty(n_edges),
-            )
+            ctx = self._diag_ctx(state, f_vertex, unstable=np.zeros((), dtype=bool))
             with np.errstate(divide="ignore", invalid="ignore"):
                 self._run(self._interior, ctx)
-            diag = Diagnostics(
-                h_edge=ctx["h_edge"],
-                ke=ctx["ke"],
-                vorticity=ctx["vorticity"],
-                divergence=ctx["divergence"],
-                v=ctx["v"],
-                h_vertex=ctx["h_vertex"],
-                pv_vertex=ctx["pv_vertex"],
-                pv_cell=ctx["pv_cell"],
-                pv_edge=ctx["pv_edge"],
-            )
-        return diag, ctx
+            return self._diagnostics(ctx), ctx
 
     def boundary(self, ctx: dict) -> None:
         """Recompute the tainted rows after the halo refresh (in place)."""
         with get_registry().timer("engine.plan", segment="diag_boundary").time():
+            ctx["unstable"] = None
             self._run(self._boundary, ctx)
-
-
-class _OverlapCompiler(_Compiler):
-    """Compiles the interior + boundary stage pair for one local mesh.
-
-    The interior program is the parent class's fused diagnostics program
-    with the ``E1`` stability raise deferred; the boundary program is
-    emitted by the ``_boundary_*`` methods, which thread per-variable
-    taint masks through the same schedule order the interior ran in.
-    Every boundary closure captures compile-time presliced CSR rows —
-    ``M[rows] @ x`` is bitwise identical to ``(M @ x)[rows]`` because row
-    extraction preserves each row's stored entry order.
-    """
-
-    def __init__(self, mesh, config, registry, cell_mask, edge_mask) -> None:
-        super().__init__(mesh, config, registry)
-        #: Variable name -> boolean mask of rows invalidated by the
-        #: refresh, threaded through the boundary emitters.
-        self.taint: dict[str, np.ndarray] = {"h": cell_mask, "u": edge_mask}
-        self._usq = np.zeros(mesh.nEdges)
-        self.boundary_points = 0
-
-    # Interior variant of E1: no raise (a stale halo h_vertex may be
-    # non-positive without the run being unstable); the boundary pass
-    # checks the fresh array.
-    def _emit_E1(self, sched) -> list[PlanStage]:
-        M = self.matrix("vertex_from_cells_kite")
-
-        def fast(ctx):
-            _matvec(M, ctx["h"], ctx["h_vertex"])
-            np.add(ctx["f"], ctx["vorticity"], out=ctx["pv_vertex"])
-            np.divide(ctx["pv_vertex"], ctx["h_vertex"], out=ctx["pv_vertex"])
-
-        return [
-            PlanStage(
-                "pv_vertex", fast, kind="matvec",
-                op="vertex_from_cells_kite", pattern="E1",
-            )
-        ]
-
-    # ------------------------------------------------- boundary emitters
-    def compile_boundary(self, sched) -> list[PlanStage]:
-        stages: list[PlanStage] = []
-        for node in sched.nodes_for_kernel("compute_solve_diagnostics"):
-            label = sched.graph.instance(node).label
-            emit = getattr(self, f"_boundary_{label}", None)
-            if emit is None:
-                raise KeyError(
-                    f"no boundary emitter for Table I label {label!r} "
-                    f"(node {node!r}); interior/boundary overlap cannot "
-                    "cover this schedule"
-                )
-            stages.extend(emit(sched))
-        return stages
-
-    def _rows(self, mask: np.ndarray) -> np.ndarray:
-        rows = np.flatnonzero(mask)
-        self.boundary_points += int(rows.size)
-        return rows
-
-    def _boundary_matvec(
-        self, name: str, op: str, out_key: str, in_key: str, in_taint: str
-    ) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        M = self.matrix(op)
-        mask = propagate_taint(M, self.taint[in_taint])
-        self.taint[out_key] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        sub = sp.csr_matrix(M[rows])
-
-        def fast(ctx):
-            ctx[out_key][rows] = sub @ ctx[in_key]
-
-        return [PlanStage(name, fast, kind="boundary", op=op)]
-
-    def _boundary_C1(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        if self.config.thickness_adv_order == 2:
-            return []
-        Md2 = self.matrix("d2fdx2")
-        mask = propagate_taint(Md2, self.taint["h"], block=2)
-        self.taint["d2"] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        flat = np.empty(2 * rows.size, dtype=np.int64)
-        flat[0::2] = 2 * rows
-        flat[1::2] = 2 * rows + 1
-        sub = sp.csr_matrix(Md2[flat])
-        d2 = self._d2
-
-        def fast(ctx):
-            d2[flat] = sub @ ctx["h"]
-
-        return [PlanStage("d2fdx2@boundary", fast, kind="boundary", op="d2fdx2")]
-
-    def _boundary_C2(self, sched) -> list[PlanStage]:
-        return []  # fixed by the fused C1 boundary sweep
-
-    def _boundary_D1(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        order = self.config.thickness_adv_order
-        Mmean = self.matrix("cell_to_edge_mean")
-        mask = propagate_taint(Mmean, self.taint["h"])
-        if order > 2:
-            mask = mask | self.taint["d2"]
-        if order == 3:
-            mask = mask | self.taint["u"]
-        self.taint["h_edge"] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        sub = sp.csr_matrix(Mmean[rows])
-        if order == 2:
-            def fast2(ctx):
-                ctx["h_edge"][rows] = sub @ ctx["h"]
-
-            return [PlanStage("h_edge@boundary", fast2, kind="boundary")]
-
-        d2_1, d2_2 = self._d2[0::2], self._d2[1::2]
-        dc2_12 = self.mesh.metrics.dcEdge**2 / 12.0
-        dc2_half_r = (dc2_12 * 0.5)[rows]
-        dc2_12_r = dc2_12[rows]
-        coef = self.config.coef_3rd_order
-
-        def fast(ctx):
-            he = ctx["h_edge"]
-            he[rows] = sub @ ctx["h"]
-            e1 = d2_1[rows] + d2_2[rows]
-            e1 *= dc2_half_r
-            he[rows] -= e1
-            if order == 3:
-                e2 = np.sign(ctx["u"][rows])
-                e2 *= coef
-                e2 *= dc2_12_r
-                e2 *= 0.5
-                e1b = d2_2[rows] - d2_1[rows]
-                e2 *= e1b
-                he[rows] += e2
-
-        return [PlanStage("h_edge@boundary", fast, kind="boundary")]
-
-    def _boundary_A2(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        M = self.matrix("kinetic_energy")
-        mask = propagate_taint(M, self.taint["u"])
-        self.taint["ke"] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        sub = sp.csr_matrix(M[rows])
-        cols = np.unique(sub.indices)
-        usq = self._usq
-
-        def fast(ctx):
-            u = ctx["u"]
-            usq[cols] = u[cols] * u[cols]
-            ctx["ke"][rows] = sub @ usq
-
-        return [PlanStage("kinetic_energy@boundary", fast, kind="boundary")]
-
-    def _boundary_A3(self, sched) -> list[PlanStage]:
-        return self._boundary_matvec(
-            "divergence@boundary", "cell_divergence", "divergence", "u", "u"
-        )
-
-    def _boundary_H1(self, sched) -> list[PlanStage]:
-        return self._boundary_matvec(
-            "vorticity@boundary", "vertex_curl", "vorticity", "u", "u"
-        )
-
-    def _boundary_B2(self, sched) -> list[PlanStage]:
-        return self._boundary_matvec(
-            "tangential_velocity@boundary", "tangential_velocity", "v", "u", "u"
-        )
-
-    def _boundary_E1(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        M = self.matrix("vertex_from_cells_kite")
-        hv_mask = propagate_taint(M, self.taint["h"])
-        self.taint["h_vertex"] = hv_mask
-        pv_mask = hv_mask | self.taint["vorticity"]
-        self.taint["pv_vertex"] = pv_mask
-        hv_rows = self._rows(hv_mask)
-        pv_rows = self._rows(pv_mask)
-        sub = sp.csr_matrix(M[hv_rows]) if hv_rows.size else None
-
-        # Always emitted: this stage also owns the deferred stability
-        # check the interior pass skipped.
-        def fast(ctx):
-            hv = ctx["h_vertex"]
-            if sub is not None:
-                hv[hv_rows] = sub @ ctx["h"]
-            if np.any(hv <= 0.0):
-                raise FloatingPointError(_UNSTABLE_MSG)
-            if pv_rows.size:
-                pv = ctx["f"][pv_rows] + ctx["vorticity"][pv_rows]
-                pv /= hv[pv_rows]
-                ctx["pv_vertex"][pv_rows] = pv
-
-        return [
-            PlanStage(
-                "pv_vertex@boundary", fast, kind="boundary",
-                op="vertex_from_cells_kite",
-            )
-        ]
-
-    def _boundary_F1(self, sched) -> list[PlanStage]:
-        return self._boundary_matvec(
-            "pv_cell@boundary", "cell_from_vertices_kite",
-            "pv_cell", "pv_vertex", "pv_vertex",
-        )
-
-    def _boundary_G1(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        Mvte = self.matrix("vertex_to_edge_mean")
-        mask = propagate_taint(Mvte, self.taint["pv_vertex"])
-        apvm = self.config.apvm_upwinding != 0.0
-        if apvm:
-            Mgv = self.matrix("edge_gradient_of_vertex")
-            Mgc = self.matrix("edge_gradient_of_cell")
-            mask = (
-                mask
-                | propagate_taint(Mgv, self.taint["pv_vertex"])
-                | propagate_taint(Mgc, self.taint["pv_cell"])
-                | self.taint["v"]
-                | self.taint["u"]
-            )
-        self.taint["pv_edge"] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        sub_vte = sp.csr_matrix(Mvte[rows])
-        if not apvm:
-            def fast_plain(ctx):
-                ctx["pv_edge"][rows] = sub_vte @ ctx["pv_vertex"]
-
-            return [PlanStage("pv_edge@boundary", fast_plain, kind="boundary")]
-
-        sub_gv = sp.csr_matrix(Mgv[rows])
-        sub_gc = sp.csr_matrix(Mgc[rows])
-        factor = self.config.apvm_upwinding * self.config.dt
-
-        def fast(ctx):
-            pe = sub_vte @ ctx["pv_vertex"]
-            g1 = sub_gv @ ctx["pv_vertex"]
-            g2 = sub_gc @ ctx["pv_cell"]
-            np.multiply(ctx["v"][rows], g1, out=g1)
-            np.multiply(ctx["u"][rows], g2, out=g2)
-            np.add(g1, g2, out=g1)
-            np.multiply(g1, factor, out=g1)
-            np.subtract(pe, g1, out=pe)
-            ctx["pv_edge"][rows] = pe
-
-        return [PlanStage("pv_edge@boundary", fast, kind="boundary")]
 
 
 def compile_overlap(local_mesh, config, rings: int, registry=None) -> OverlapDiagnostics:
@@ -1299,10 +1035,10 @@ def compile_overlap(local_mesh, config, rings: int, registry=None) -> OverlapDia
     cell_mask[cell_idx] = True
     edge_mask = np.zeros(local_mesh.nEdges, dtype=bool)
     edge_mask[edge_idx] = True
-    comp = _OverlapCompiler(local_mesh, config, reg, cell_mask, edge_mask)
+    comp = _Compiler(local_mesh, config, reg)
     sched1 = schedule_substep(config, stage=1)
     interior = comp.compile_kernel(sched1, "compute_solve_diagnostics")
-    boundary = comp.compile_boundary(sched1)
+    boundary = comp.compile_boundary(sched1, cell_mask, edge_mask)
     return OverlapDiagnostics(
         local_mesh,
         key=plan_key(config) + (int(rings),),

@@ -57,8 +57,8 @@ registry, hitting the disk cache when the mesh has one.
 from __future__ import annotations
 
 import hashlib
-import os
 import weakref
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -67,7 +67,7 @@ import scipy.sparse as sp
 
 from ..mesh.cache import cache_dir
 from ..mesh.mesh import Mesh
-from ..resilience.integrity import checked_load, seal
+from ..resilience.integrity import load_or_build
 
 __all__ = [
     "OPERATOR_CACHE_VERSION",
@@ -335,31 +335,23 @@ def clear_operator_memory_cache() -> None:
     _MEMORY_OPS.clear()
 
 
-def _load_operator(path: Path, fingerprint: str) -> sp.csr_matrix | None:
-    """Load one archive; ``None`` on a stale version/fingerprint (rebuild in
-    place) *or* on corruption — a damaged archive is quarantined by the
-    integrity layer (``resilience.cache.quarantined`` tagged
-    ``kind=operator``), never raised to the dispatch path."""
-
-    def read(p: Path) -> sp.csr_matrix | None:
-        with np.load(p) as d:
-            if "format_version" not in d.files:
-                return None
-            if int(d["format_version"]) != OPERATOR_CACHE_VERSION:
-                return None
-            if str(d["fingerprint"]) != fingerprint:
-                return None
-            return sp.csr_matrix(
-                (d["data"], d["indices"], d["indptr"]), shape=tuple(d["shape"])
-            )
-
-    return checked_load(path, read, kind="operator")
+def _read_operator(fingerprint: str, path: Path) -> sp.csr_matrix | None:
+    """Load one archive; ``None`` on a stale version/fingerprint."""
+    with np.load(path) as d:
+        if "format_version" not in d.files:
+            return None
+        if int(d["format_version"]) != OPERATOR_CACHE_VERSION:
+            return None
+        if str(d["fingerprint"]) != fingerprint:
+            return None
+        return sp.csr_matrix(
+            (d["data"], d["indices"], d["indptr"]), shape=tuple(d["shape"])
+        )
 
 
-def _save_operator(path: Path, fingerprint: str, m: sp.csr_matrix) -> None:
-    tmp = path.with_suffix(".tmp.npz")
+def _write_operator(fingerprint: str, m: sp.csr_matrix, fh) -> None:
     np.savez_compressed(
-        tmp,
+        fh,
         format_version=np.array(OPERATOR_CACHE_VERSION),
         fingerprint=np.array(fingerprint),
         data=m.data,
@@ -367,8 +359,6 @@ def _save_operator(path: Path, fingerprint: str, m: sp.csr_matrix) -> None:
         indptr=m.indptr,
         shape=np.array(m.shape),
     )
-    os.replace(tmp, path)
-    seal(path)
 
 
 def sparse_operator(
@@ -398,16 +388,18 @@ def sparse_operator(
         # ``info`` dict and never persist: their operators are memory-only.
         info = getattr(mesh, "info", None)
         use_disk = bool(info.get("disk_cached")) if info is not None else False
-    path = fingerprint = None
     if use_disk:
+        # A stale archive is rebuilt in place; a damaged one is quarantined
+        # by the integrity layer (``resilience.cache.quarantined`` tagged
+        # ``kind=operator``) and rebuilt — never raised to the dispatch path.
         fingerprint = mesh_fingerprint(mesh)
-        path = operator_cache_path(mesh, op)
-        if path.exists():
-            m = _load_operator(path, fingerprint)
-    if m is None:
+        m = load_or_build(
+            operator_cache_path(mesh, op), partial(_read_operator, fingerprint),
+            partial(_COMPILERS[op], mesh), partial(_write_operator, fingerprint),
+            kind="operator",
+        )
+    else:
         m = _COMPILERS[op](mesh)
-        if use_disk:
-            _save_operator(path, fingerprint, m)
     ops[op] = m
     return m
 

@@ -45,23 +45,12 @@ __all__ = [
     "use_placements",
     "active_placement",
     "active_placements",
-    "placements_active",
     "run_split",
     "propagate_taint",
 ]
 
 #: Table I label -> Placement, installed by :func:`use_placements`.
 _ACTIVE: dict[str, object] = {}
-
-
-def placements_active() -> bool:
-    """True when any placement is installed (the plan executor's fast check).
-
-    The fused-plan executor (:mod:`repro.engine.plan`) bypasses the
-    per-dispatch placement lookup entirely; this single truthiness test is
-    what keeps that legal — when it is False no stage can need routing.
-    """
-    return bool(_ACTIVE)
 
 
 def active_placements() -> dict[str, object]:

@@ -26,7 +26,7 @@ import os
 from pathlib import Path
 
 from ..constants import EARTH_RADIUS
-from ..resilience.integrity import checked_load, seal
+from ..resilience.integrity import load_or_build
 from .mesh import CACHE_FORMAT_VERSION, Mesh, MeshFormatError
 
 __all__ = [
@@ -85,23 +85,23 @@ def cached_mesh(
     mesh = _MEMORY.get(key)
     if mesh is not None:
         return mesh
-    path = mesh_cache_path(level, lloyd_iterations, radius)
-    mesh = None
+
+    def build() -> Mesh:
+        return Mesh.build(level, lloyd_iterations=lloyd_iterations, radius=radius)
+
     if use_disk:
         # Stale (older Mesh layout) rebuilds in place; a corrupt archive
         # (truncated/bit-flipped npz) is quarantined and rebuilt — either
-        # way a bad cache entry is never fatal.
-        mesh = checked_load(path, Mesh.load, kind="mesh", stale=(MeshFormatError,))
-    if mesh is None:
-        mesh = Mesh.build(level, lloyd_iterations=lloyd_iterations, radius=radius)
-        if use_disk:
-            tmp = path.with_suffix(".tmp.npz")
-            mesh.save(tmp)
-            os.replace(tmp, path)
-            seal(path)
-    if use_disk:
+        # way a bad cache entry is never fatal.  Concurrent processes on a
+        # cold entry build it once.
+        mesh = load_or_build(
+            mesh_cache_path(level, lloyd_iterations, radius), Mesh.load, build,
+            Mesh.save, kind="mesh", stale=(MeshFormatError,),
+        )
         # Mark the mesh as having a persistent disk identity so dependent
         # caches (e.g. the sparse-operator cache) may persist alongside it.
         mesh.info.setdefault("disk_cached", True)
+    else:
+        mesh = build()
     _MEMORY[key] = mesh
     return mesh

@@ -182,11 +182,11 @@ class Mesh:
             raise ValueError("non-positive edge lengths")
 
     # ----------------------------------------------------------------- I/O
-    def save(self, path: str | Path) -> None:
-        """Serialize to a compressed ``.npz`` archive."""
+    def save(self, path) -> None:
+        """Serialize to a compressed ``.npz`` archive (a path or binary handle)."""
         conn, met, tri = self.connectivity, self.metrics, self.trisk
         np.savez_compressed(
-            Path(path),
+            path,
             format_version=np.array(CACHE_FORMAT_VERSION),
             name=np.array(self.name),
             radius=np.array(met.radius),

@@ -16,32 +16,23 @@ and the halo exchange moves values by pure slice copies through a
 :class:`~repro.parallel.shm.SharedState` segment at exactly the Algorithm-1
 synchronization points.
 
-Under the default static schedule
-(``SWConfig(halo_schedule="static")``) each of the 8 sync points is a
-two-phase barrier:
-
-1. every rank publishes its owned slices into the shared segment, then
-   waits (no rank may read a halo that is still being written);
-2. every rank refreshes its halo slices from the segment, then waits
-   (no rank may start publishing the *next* exchange while another is
-   still reading this one).
-
-Under ``halo_schedule="dataflow"`` the pool runs the comm-avoiding
-schedule derived from the step graph
-(:func:`repro.dataflow.schedule.derive_halo_schedule`): sync points whose
-halo the graph proves clean are skipped outright, the surviving ones move
-only the variables and halo rings the schedule names, and the global
-barrier is replaced by the publish/acknowledge counters of a
-:class:`~repro.parallel.shm.SyncBoard` over a double-buffered segment.
-Each kept exchange is split around compute — a rank publishes its owned
-slices the moment the substate exists, runs the RK accumulation (and,
-under fused plans, the interior diagnostics of
+One sync protocol serves both halo schedules: the publish/acknowledge
+counters of a :class:`~repro.parallel.shm.SyncBoard` over a
+double-buffered segment, where each rank waits only on the ranks it
+shares halo points with.  ``SWConfig.halo_schedule`` picks which of the 8
+Algorithm-1 sync points run and what they move: ``"static"`` keeps all
+eight with full payloads (Figure 2), ``"dataflow"`` keeps only the points
+and variables the step graph proves dirty
+(:func:`repro.dataflow.schedule.derive_halo_schedule`), 4 per step.  Each
+kept exchange is split around compute — a rank publishes its owned slices
+the moment the substate exists, runs the RK accumulation (and, under
+fused plans, the interior diagnostics of
 :func:`repro.engine.plan.compiled_overlap`) while its peers drain the
 exchange, and acquires its halo only at the last read point.  The owned
-state stays bitwise identical to the serial run in both modes.
+state stays bitwise identical to the serial run under both schedules.
 
 Worker death (a crashed process, an ``os._exit`` mid-step) is recoverable:
-surviving workers time out of the broken barrier and report back, the
+surviving workers time out of their sync waits and report back, the
 parent restores the last committed global state into the shared segment,
 respawns the dead ranks, reloads every worker and retries the batch —
 bounded by ``RecoveryPolicy.halo_retries`` (a dead worker is a lost halo
@@ -56,6 +47,7 @@ registry/tracer at gather time, tagged ``rank=r``.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import time
@@ -86,12 +78,12 @@ from .halo import (
 )
 from .partition import partition_cells
 from .runner import gathered_run_result
-from .shm import SharedState, SyncBoard
+from .shm import SharedState, SyncBoard, SyncTimeout
 
 __all__ = ["PoolShallowWater", "WorkerPoolError"]
 
-#: Seconds a worker waits at an exchange barrier before declaring it broken.
-#: Under the dataflow schedule this is a *floor*: the effective timeout is
+#: Seconds a worker waits at a sync point before declaring it broken.
+#: This is a *floor*: the effective timeout is
 #: ``max(DEFAULT_BARRIER_TIMEOUT, TIMEOUT_SAFETY * slowest observed compute
 #: interval)``, so a long interior-overlap window on a loaded machine never
 #: false-triggers the worker-death recovery.
@@ -103,39 +95,6 @@ class WorkerPoolError(RuntimeError):
 
 
 # ---------------------------------------------------------------- worker side
-def _worker_exchange(shared, lm, barrier, timeout: float, state: State) -> None:
-    """One two-phase shared-memory halo exchange (worker side)."""
-    shared.publish_owned(lm, state)
-    barrier.wait(timeout)
-    shared.refresh_halo(lm, state)
-    barrier.wait(timeout)
-
-
-def _worker_step(exchange, lm, state, diag, b_cell, f_vertex, config):
-    """One RK-4 step of one rank — the lockstep per-rank body, verbatim.
-
-    ``exchange(state)`` performs one two-phase shared-memory halo exchange.
-    """
-    dt = config.dt
-    provis = state.copy()
-    provis_diag = diag
-    acc = state.copy()
-    for stage in range(4):
-        exchange(provis)
-        tend_h, tend_u = compute_tend(lm, provis, provis_diag, b_cell, config)
-        accumulative_update(acc, tend_h, tend_u, RK_ACCUMULATE_WEIGHTS[stage] * dt)
-        if stage < 3:
-            provis = compute_next_substep_state(
-                state, tend_h, tend_u, RK_SUBSTEP_WEIGHTS[stage] * dt
-            )
-            exchange(provis)
-            provis_diag = compute_solve_diagnostics(lm, provis, f_vertex, config)
-        else:
-            exchange(acc)
-            diag = compute_solve_diagnostics(lm, acc, f_vertex, config)
-    return acc, diag
-
-
 class _DataflowSync:
     """Worker-side driver of one rank's schedule-derived halo exchanges.
 
@@ -254,10 +213,10 @@ def _overlapped_diagnostics(sync, token, overlap, lm, state, f_vertex, config):
     return diag
 
 
-def _worker_step_dataflow(sync, overlap, lm, state, diag, b_cell, f_vertex, config):
-    """One RK-4 step under the dataflow halo schedule (worker side).
+def _worker_step(sync, overlap, lm, state, diag, b_cell, f_vertex, config):
+    """One RK-4 step of one rank (worker side).
 
-    The same kernel sequence as :func:`_worker_step`, reordered around the
+    The lockstep runner's per-rank kernel sequence, reordered around the
     kept sync points: each post-substep exchange publishes as soon as the
     substate exists, the RK accumulation (independent of the exchange)
     and the interior diagnostics run inside the overlap window, and the
@@ -298,8 +257,7 @@ def _worker_main(
     rank: int,
     conn,
     shared: SharedState,
-    barrier,
-    board: SyncBoard | None,
+    board: SyncBoard,
     barrier_timeout: float,
     lm,
     b_cell: np.ndarray,
@@ -313,7 +271,7 @@ def _worker_main(
     """Persistent worker loop: own rank state, obey parent commands.
 
     Commands (over the pipe): ``("steps", n)`` advance ``n`` RK-4 steps,
-    acked ``("ok", n)`` or ``("broken", at_step)`` after a barrier break;
+    acked ``("ok", n)`` or ``("broken", at_step)`` after a sync timeout;
     ``("load", base_step)`` re-slice the local state from the shared
     segment (post-recovery resynchronization); ``("obs",)`` ship this
     worker's metrics snapshot and finished tracer spans, then zero the
@@ -321,13 +279,11 @@ def _worker_main(
     counting;
     ``("gather",)`` ship the owned state slices; ``("stop",)`` exit.
 
-    ``board is None`` selects the static barrier path; otherwise the
-    dataflow :class:`_DataflowSync` drives the kept sync points of
-    ``schedule`` against the ``neighbors = (providers, consumers)`` rank
-    sets.
+    A :class:`_DataflowSync` drives the kept sync points of ``schedule``
+    against the ``neighbors = (providers, consumers)`` rank sets.
     """
     from ..engine import default_registry
-    from ..engine.split import placements_active
+    from ..engine.plan import compiled_overlap, plan_active
     from ..resilience.recovery import use_recovery_policy
 
     # A SIGKILLed parent cannot tell its workers anything, and under the
@@ -357,50 +313,23 @@ def _worker_main(
     registry = get_registry()
     steps_done = registry.counter("pool.worker.steps")
 
-    if board is not None:
-        sync = _DataflowSync(
-            rank, shared, board, barrier_timeout, lm, schedule, *neighbors
-        )
-        overlap = None
-        if config.plan and not placements_active():
-            # Fused-plan ranks split diagnostics into interior + boundary
-            # around each acquire; split placements fall back to the plain
-            # acquire-then-compute path (plans bypass routing entirely).
-            from ..engine.plan import compiled_overlap
-
-            rings = max(p.rings for p in schedule.points)
-            overlap = compiled_overlap(lm, config, rings)
-
-        def do_step(state_, diag_):
-            return _worker_step_dataflow(
-                sync, overlap, lm, state_, diag_, b_cell, f_vertex, config
-            )
-    else:
-        sync = None
-        bytes_per_exchange = 8.0 * (lm.n_halo_cells + lm.n_halo_edges)
-        halo_bytes = registry.counter("halo.bytes", mode="pool")
-        halo_exchanges = registry.counter("halo.exchanges", mode="pool")
-
-        def exchange(state_):
-            with trace_span(
-                "halo_exchange", category="halo", bytes_est=bytes_per_exchange
-            ):
-                _worker_exchange(shared, lm, barrier, barrier_timeout, state_)
-            halo_bytes.inc(bytes_per_exchange)
-            halo_exchanges.inc()
-
-        def do_step(state_, diag_):
-            return _worker_step(
-                exchange, lm, state_, diag_, b_cell, f_vertex, config
-            )
+    sync = _DataflowSync(
+        rank, shared, board, barrier_timeout, lm, schedule, *neighbors
+    )
+    overlap = None
+    if plan_active(config):
+        # Fused-plan ranks split diagnostics into interior + boundary
+        # around each acquire; without a plan (or under split placements)
+        # the plain acquire-then-compute path runs.
+        rings = max(p.rings for p in schedule.points)
+        overlap = compiled_overlap(lm, config, rings)
 
     t_diag = time.perf_counter()
     state = shared.read_local(lm)
     diag = compute_solve_diagnostics(lm, state, f_vertex, config)
-    if board is not None:
-        # Seed the adaptive-timeout estimate before any peer can wait on
-        # this rank: the startup diagnostics is one full compute interval.
-        board.observe(rank, time.perf_counter() - t_diag)
+    # Seed the adaptive-timeout estimate before any peer can wait on this
+    # rank: the startup diagnostics is one full compute interval.
+    board.observe(rank, time.perf_counter() - t_diag)
     step_no = 0
     conn.send(("ready", rank))
     with use_recovery_policy(config.recovery_policy()):
@@ -416,19 +345,20 @@ def _worker_main(
                             os._exit(3)  # simulated worker crash (tests)
                         t_step = time.perf_counter()
                         with trace_span("pool_step", category="pool", step=step_no):
-                            state, diag = do_step(state, diag)
-                        if board is not None:
-                            board.observe(rank, time.perf_counter() - t_step)
+                            state, diag = _worker_step(
+                                sync, overlap, lm, state, diag, b_cell,
+                                f_vertex, config,
+                            )
+                        board.observe(rank, time.perf_counter() - t_step)
                         steps_done.inc()
                     conn.send(("ok", n))
-                except threading.BrokenBarrierError:
+                except SyncTimeout:
                     conn.send(("broken", step_no))
             elif cmd == "load":
                 state = shared.read_local(lm)
                 diag = compute_solve_diagnostics(lm, state, f_vertex, config)
                 step_no = msg[1]
-                if sync is not None:
-                    sync.seq = 0  # the board was reset with the reload
+                sync.seq = 0  # the board was reset with the reload
                 kill_at_step = None  # a test kill fires at most once per spawn
                 conn.send(("loaded", rank))
             elif cmd == "obs":
@@ -453,8 +383,7 @@ def _worker_main(
                 conn.send(("error", f"unknown command {cmd!r}"))
                 break
     shared.close()
-    if board is not None:
-        board.close()
+    board.close()
     conn.close()
 
 
@@ -507,11 +436,8 @@ class PoolShallowWater:
 
         #: The halo schedule every rank executes (static or dataflow).
         self.schedule = halo_schedule_for(config)
-        dataflow = self.schedule.mode == "dataflow"
 
-        self._shared = SharedState.create(
-            mesh.nCells, mesh.nEdges, n_buffers=2 if dataflow else 1
-        )
+        self._shared = SharedState.create(mesh.nCells, mesh.nEdges, n_buffers=2)
         self._shared.write_global(global_state.h, global_state.u)
         # Kept exchanges completed since the last global load: selects the
         # buffer holding the committed state (`seq % n_buffers`).
@@ -522,11 +448,8 @@ class PoolShallowWater:
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        self._barrier = self._ctx.Barrier(n_ranks)
-        self._board = SyncBoard.create(n_ranks, self._ctx) if dataflow else None
-        self._neighbors = self._neighbor_ranks() if dataflow else [
-            (np.empty(0, np.int64), np.empty(0, np.int64))
-        ] * n_ranks
+        self._board = SyncBoard.create(n_ranks, self._ctx)
+        self._neighbors = self._neighbor_ranks()
         self._workers: list = [None] * n_ranks
         self._conns: list = [None] * n_ranks
         self._closed = False
@@ -592,7 +515,7 @@ class PoolShallowWater:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
-                rank, child_conn, self._shared, self._barrier, self._board,
+                rank, child_conn, self._shared, self._board,
                 self.barrier_timeout, self.local_meshes[rank],
                 self.b_cell[self.local_meshes[rank].cells_global],
                 self.f_vertex[self.local_meshes[rank].vertices_global],
@@ -608,28 +531,31 @@ class PoolShallowWater:
         self._conns[rank] = parent_conn
 
     def _await(self, expected: str, ranks) -> list[int]:
-        """Collect one ack per rank; returns the ranks that died instead."""
+        """Collect one ack per rank; returns the ranks that died instead.
+
+        Blocks on every pending pipe and process sentinel at once, so an
+        ack is taken the moment it arrives and a dead worker is noticed
+        the moment it exits.
+        """
         pending = set(ranks)
         dead: list[int] = []
         while pending:
-            for r in sorted(pending):
+            waitables = {}
+            for r in pending:
+                waitables[self._conns[r]] = r
+                waitables[self._workers[r].sentinel] = r
+            for ready in multiprocessing.connection.wait(list(waitables)):
+                r = waitables[ready]
+                if r not in pending:
+                    continue
+                pending.discard(r)
                 conn = self._conns[r]
                 try:
-                    if conn.poll(0.02):
-                        msg = conn.recv()
-                        pending.discard(r)
-                        if msg[0] != expected:
-                            dead.append(r)
-                        continue
+                    msg = conn.recv() if conn.poll() else None
                 except (EOFError, OSError):
-                    # Pipe closed from the other side: the worker is gone.
-                    pending.discard(r)
+                    msg = None  # pipe closed from the other side
+                if msg is None or msg[0] != expected:
                     dead.append(r)
-                    continue
-                if not self._workers[r].is_alive():
-                    pending.discard(r)
-                    dead.append(r)
-            time.sleep(0.0 if not pending else 0.005)
         return dead
 
     def _broadcast(self, message: tuple, ranks=None) -> None:
@@ -644,9 +570,7 @@ class PoolShallowWater:
                 proc.terminate()
             proc.join(timeout=10.0)
             self._conns[r].close()
-        self._barrier.reset()
-        if self._board is not None:
-            self._board.reset()
+        self._board.reset()
         self._shared.write_global(*self._snapshot)
         self._exchanges_done = 0
         for r in set(dead):
@@ -703,8 +627,7 @@ class PoolShallowWater:
             raise WorkerPoolError("pool is closed")
         self._shared.write_global(state.h, state.u)
         self._exchanges_done = 0
-        if self._board is not None:
-            self._board.reset()
+        self._board.reset()
         self._snapshot = self._shared.read_global()
         self._steps_done = step
         self._broadcast(("load", step))
@@ -790,9 +713,8 @@ class PoolShallowWater:
                 pass
         self._shared.close()
         self._shared.unlink()
-        if self._board is not None:
-            self._board.close()
-            self._board.unlink()
+        self._board.close()
+        self._board.unlink()
 
     def __enter__(self) -> "PoolShallowWater":
         return self

@@ -14,8 +14,7 @@ arithmetic), so the values that flow through the segment are bitwise
 identical to the in-process lockstep exchange
 (:class:`repro.parallel.runner.DecomposedShallowWater._exchange`).
 
-The static halo schedule uses a single buffer behind a global barrier.
-The comm-avoiding dataflow schedule double-buffers: exchange ``i``
+The pool double-buffers under either halo schedule: exchange ``i``
 (1-based) flows through block ``i % n_buffers``, and the
 :class:`SyncBoard` publish/acknowledge counters guarantee a block is
 never overwritten while a peer still reads it — the barrier-free
@@ -35,9 +34,13 @@ import threading
 
 import numpy as np
 
-__all__ = ["SharedState", "SyncBoard"]
+__all__ = ["SharedState", "SyncBoard", "SyncTimeout"]
 
 _FLOAT = np.float64
+
+
+class SyncTimeout(threading.BrokenBarrierError):
+    """A :class:`SyncBoard` wait timed out: a peer is presumed dead."""
 
 
 def _attach_segment(name: str):
@@ -216,14 +219,14 @@ class SharedState:
 class SyncBoard:
     """Publish/acknowledge counters for the comm-avoiding halo schedule.
 
-    One shared-memory scoreboard replaces the pool's global barrier under
-    the dataflow schedule.  Per rank it holds two monotonically increasing
+    One shared-memory scoreboard synchronizes the pool's ranks under
+    either halo schedule.  Per rank it holds two monotonically increasing
     ``int64`` exchange counters — ``pub[r]`` (the last exchange rank *r*
     published) and ``ack[r]`` (the last exchange rank *r* finished
     reading) — plus a ``float64`` ``observed[r]`` slot with the longest
     compute interval rank *r* has measured (the cross-rank input to the
     adaptive sync timeout).  A single ``multiprocessing.Condition``
-    (fork-inherited / Process-arg pickled, like the barrier it replaces)
+    (fork-inherited / Process-arg pickled with the worker arguments)
     wakes waiters; the counters themselves live in the segment so a
     predicate is one vectorized compare.
 
@@ -235,9 +238,10 @@ class SyncBoard:
     * a rank may *read* its halo for exchange ``seq`` once every provider
       of its halo points has ``pub >= seq``.
 
-    A timed-out wait raises :class:`threading.BrokenBarrierError`, so the
-    pool's existing broken-exchange recovery path (respawn + rewind)
-    applies unchanged; :meth:`reset` rewinds the counters to match.
+    A timed-out wait raises :class:`SyncTimeout` (a
+    ``threading.BrokenBarrierError``), which the pool's broken-exchange
+    recovery path (respawn + rewind) handles; :meth:`reset` rewinds the
+    counters to match.
     """
 
     def __init__(self, shm, cond, n_ranks: int, owner: bool) -> None:
@@ -290,7 +294,7 @@ class SyncBoard:
     # -------------------------------------------------------------- pickling
     def __getstate__(self) -> tuple:
         # The Condition pickles through multiprocessing's Process-argument
-        # reduction (exactly like the Barrier it replaces); the segment
+        # reduction (like any multiprocessing primitive); the segment
         # re-attaches by name.
         return (self.name, self.n_ranks, self._cond)
 
@@ -311,7 +315,7 @@ class SyncBoard:
     def _wait(self, predicate, timeout: float, what: str) -> None:
         with self._cond:
             if not self._cond.wait_for(predicate, timeout):
-                raise threading.BrokenBarrierError(
+                raise SyncTimeout(
                     f"halo sync timed out after {timeout:.1f}s waiting for {what}"
                 )
 

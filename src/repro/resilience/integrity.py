@@ -1,11 +1,16 @@
 """Self-healing integrity layer for the on-disk caches.
 
 Every persistent cache in this repo (mesh archives, compiled sparse
-operators) is written atomically — temp file, then ``os.replace`` — so a
-*reader* never sees a half-written archive under the final name.  What atomic writes cannot prevent is the file being damaged
-*after* publication: a disk hiccup, a torn page from a power loss, a
-truncation by a full filesystem, an over-eager cleanup script.  Before this
-layer, one corrupt ``.npz`` crashed every future run that touched it
+operators) goes through :func:`load_or_build`.  It holds a per-entry
+advisory lock (``<file>.lock``) across check, build and publish, so N
+processes racing on a cold entry do one build and the rest load it.
+:func:`publish` writes the archive and its seal to unique, fsynced temp
+names and renames them into place, so a *reader* never sees a
+half-written archive under the final name and an archive and its seal
+always come from the same writer.  What atomic writes cannot prevent is
+the file being damaged *after* publication: a disk hiccup, a torn page
+from a power loss, a truncation by a full filesystem, an over-eager
+cleanup script.  Before this layer, one corrupt ``.npz`` crashed every future run that touched it
 (``zipfile.BadZipFile`` out of ``np.load``), turning a cheap rebuildable
 artifact into a persistent outage.
 
@@ -24,19 +29,22 @@ sidecar window degrades safely: a mismatch quarantines and rebuilds.
 Legacy entries written before this layer carry no sidecar; they are loaded
 on a best-effort basis and quarantined only if actually unreadable.
 
-:func:`checked_load` bundles the policy for cache call sites::
+:func:`load_or_build` bundles the policy for cache call sites::
 
-    m = checked_load(path, loader, kind="operator")
-    if m is None:       # missing, stale, or quarantined-corrupt
-        m = rebuild()
+    m = load_or_build(path, loader, build, write, kind="operator")
 
-All helpers are import-light (``zlib`` + the metrics registry) so the
-engine's process-startup path can use them freely.
+where ``loader`` returns ``None`` for a stale entry and the entry is
+rebuilt when it is missing, stale or quarantined-corrupt.
+
+All helpers are import-light (``zlib``, ``fcntl`` + the metrics registry)
+so the engine's process-startup path can use them freely.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
+import tempfile
 import zlib
 from pathlib import Path
 
@@ -49,6 +57,8 @@ __all__ = [
     "verify",
     "quarantine",
     "checked_load",
+    "publish",
+    "load_or_build",
 ]
 
 #: Appended to the cached file's full name: ``mesh.npz`` -> ``mesh.npz.crc``.
@@ -76,21 +86,50 @@ def _length_and_crc(path: Path, chunk: int = 1 << 20) -> tuple[int, int]:
     return length, crc & 0xFFFFFFFF
 
 
-def seal(path: str | Path) -> Path:
-    """Write the CRC sidecar for a just-published cache file.
+def _write_temp(path: Path, write) -> Path:
+    """``write(fh)`` into a uniquely named, fsynced sibling of ``path``."""
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return Path(tmp)
 
-    The sidecar itself is written atomically (temp + ``os.replace``), so a
-    crash between publishing the file and sealing it leaves at worst a
-    *missing or stale* sidecar — which :func:`verify` treats as suspect,
-    never as valid.
+
+def seal(path: str | Path) -> Path:
+    """Write the CRC sidecar for a cache file.
+
+    The sidecar itself is written atomically (unique temp + ``os.replace``),
+    so a crash while sealing leaves at worst a *missing or stale* sidecar —
+    which :func:`verify` treats as suspect, never as valid.
     """
     path = Path(path)
     length, crc = _length_and_crc(path)
     sidecar = _sidecar_path(path)
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    tmp.write_text(f"crc32 {length} {crc:08x}\n", encoding="ascii")
-    os.replace(tmp, sidecar)
+    text = f"crc32 {length} {crc:08x}\n".encode("ascii")
+    os.replace(_write_temp(sidecar, lambda fh: fh.write(text)), sidecar)
     return sidecar
+
+
+def publish(path: str | Path, write) -> None:
+    """Atomically publish a cache file and its seal.
+
+    ``write(fh)`` fills an open binary handle.  The archive is written and
+    sealed under unique temp names, then both are renamed into place, so
+    concurrent writers never share a temp file and a published archive is
+    sealed by the writer that wrote it.
+    """
+    path = Path(path)
+    tmp = _write_temp(path, write)
+    tmp_seal = seal(tmp)
+    os.replace(tmp, path)
+    os.replace(tmp_seal, _sidecar_path(path))
 
 
 def verify(path: str | Path) -> bool | None:
@@ -175,3 +214,22 @@ def checked_load(path: str | Path, loader, kind: str, stale: tuple = ()):
     except Exception:
         quarantine(path, kind, reason="unreadable")
         return None
+
+
+def load_or_build(path: str | Path, loader, build, write, kind: str, stale: tuple = ()):
+    """One cache entry: a validated load, or one build published for all.
+
+    Check, build and publish run under an exclusive advisory lock on
+    ``<path>.lock``, so of N processes racing on a missing (or stale, or
+    corrupt) entry the first builds and publishes it — ``write(obj, fh)``
+    fills the archive — and the rest wait, then load what it published.
+    ``loader``/``stale`` follow :func:`checked_load`.
+    """
+    path = Path(path)
+    with open(path.with_name(path.name + ".lock"), "ab") as lock:
+        fcntl.flock(lock.fileno(), fcntl.LOCK_EX)  # released on close
+        obj = checked_load(path, loader, kind, stale)
+        if obj is None:
+            obj = build()
+            publish(path, lambda fh: write(obj, fh))
+    return obj

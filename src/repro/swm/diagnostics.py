@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import dispatch
+from ..engine.plan import compiled_plan, plan_active
 from ..mesh.mesh import Mesh
 from ..obs.instrument import pattern_span
 from .advection import h_edge_high_order
@@ -40,9 +41,7 @@ def compute_solve_diagnostics(
     config : SWConfig
         ``apvm_upwinding`` and ``thickness_adv_order`` are honoured here.
     """
-    if config.plan:
-        from ..engine.plan import compiled_plan
-
+    if plan_active(config):
         return compiled_plan(mesh, config).diagnostics(state, f_vertex)
     h, u = state.h, state.u
     backend = config.backend

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import dispatch
+from ..engine.plan import compiled_plan, plan_active
 from ..mesh.mesh import Mesh
 from ..obs.instrument import pattern_span
 from .config import SWConfig
@@ -46,12 +47,10 @@ def compute_tend(
     b_cell : (nCells,) array
         Bottom topography.
     """
-    if config.plan:
+    if plan_active(config):
         # Fused path: one compiled stage program per (mesh, config), no
         # per-op dispatch.  Placed here (not in the integrator) so serial,
-        # lockstep, pool and split callers all take it.
-        from ..engine.plan import compiled_plan
-
+        # lockstep and pool callers all take it.
         return compiled_plan(mesh, config).tend(state, diag, b_cell)
     backend = config.backend
     # Pattern A1: mass tendency, gather over the edges of each cell.

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.plan import compiled_plan, plan_active
 from ..mesh.mesh import Mesh
 from ..obs.instrument import kernel_span, pattern_span
 from .config import SWConfig
@@ -128,8 +129,6 @@ class RK4Integrator:
         if config.plan:
             # Compile (and warm the cache for) the fused plan up front so
             # the first step does not pay compilation inside the timed loop.
-            from ..engine.plan import compiled_plan
-
             compiled_plan(mesh, config, registry=registry)
 
     # The halo-exchange hook lets the distributed driver reuse this exact
@@ -193,12 +192,10 @@ class RK4Integrator:
                         self.mesh, acc, self.f_vertex, self.config
                     )
         with kernel_span("mpas_reconstruct", backend=backend):
-            if self.config.plan:
+            if plan_active(self.config):
                 # Looked up per step (not cached on self): a config
                 # mutation such as the rollback handler halving dt maps to
                 # a different plan key and must recompile transparently.
-                from ..engine.plan import compiled_plan
-
                 recon = compiled_plan(self.mesh, self.config).reconstruct(acc.u)
             else:
                 recon = self._mpas_reconstruct(self.mesh, acc.u, backend=backend)

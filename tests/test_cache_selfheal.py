@@ -7,9 +7,20 @@ is moved to ``quarantine/``, counted as ``resilience.cache.quarantined``
 (tagged by cache kind), and rebuilt with correct results.  Before this
 layer a truncated archive raised ``zipfile.BadZipFile`` out of ``np.load``
 on every run that touched it.
+
+Concurrent writers are covered too: real processes racing on a cold cache
+entry must all succeed, do one build between them, and leave an entry that
+verifies and loads bitwise equal to a serial build.
 """
 
 from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +228,109 @@ class TestMeshSelfHeal:
         assert np.array_equal(rebuilt.xCell, mesh.xCell)
         assert _quarantined(registry, "mesh") == 1.0
         assert list((path.parent / QUARANTINE_DIRNAME).glob("*.npz"))
+
+
+# ------------------------------------------------------- concurrent writers
+ROOT = Path(__file__).parent.parent
+
+#: One racer: wait for the start signal, then take the level-3 mesh and
+#: every compiled operator through the disk cache, reporting how many mesh
+#: builds it ran and a digest of what it got.
+_RACER = """
+import sys, time
+from pathlib import Path
+from repro.mesh import cache
+from repro.mesh.mesh import Mesh
+from tests.test_cache_selfheal import cache_digest
+
+builds = []
+real_build = Mesh.build.__func__
+
+
+def counting_build(cls, *args, **kwargs):
+    builds.append(1)
+    return real_build(cls, *args, **kwargs)
+
+
+Mesh.build = classmethod(counting_build)
+ready, go = Path(sys.argv[1]), Path(sys.argv[2])
+ready.touch()
+while not go.exists():
+    time.sleep(0.001)
+print(cache_digest(cache.cached_mesh(3)), len(builds))
+"""
+
+
+def cache_digest(mesh, use_disk=None) -> str:
+    """SHA-256 over a mesh's arrays and every compiled operator."""
+    from repro.engine.sparse import _COMPILERS, sparse_operator
+
+    h = hashlib.sha256()
+    for part in (mesh.connectivity, mesh.metrics, mesh.trisk):
+        for key, arr in sorted(vars(part).items()):
+            h.update(key.encode())
+            h.update(np.asarray(arr).tobytes())
+    for op in sorted(_COMPILERS):
+        m = sparse_operator(mesh, op, use_disk=use_disk)
+        for arr in (m.data, m.indices, m.indptr):
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestConcurrentWriters:
+    RACERS = 6
+
+    def test_racing_processes_share_one_build(self, tmp_path, monkeypatch):
+        """Regression: every writer used one fixed temp name, so racers on a
+        cold cache died with FileNotFoundError in ``os.replace`` and the
+        surviving archive could carry another writer's seal."""
+        from repro.engine.sparse import clear_operator_memory_cache
+        from repro.mesh.cache import clear_memory_cache, mesh_cache_path
+        from repro.mesh.mesh import Mesh
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        env = {
+            "PYTHONPATH": f"{ROOT / 'src'}{os.pathsep}{ROOT}",
+            "PATH": "/usr/bin:/bin",
+            "HOME": os.environ["HOME"],
+            "REPRO_CACHE_DIR": str(cache),
+        }
+        go = tmp_path / "go"
+        ready = [tmp_path / f"ready{k}" for k in range(self.RACERS)]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _RACER, str(r), str(go)], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for r in ready
+        ]
+        try:
+            deadline = time.monotonic() + 120.0
+            while not all(r.exists() for r in ready):
+                assert time.monotonic() < deadline, "racers never got ready"
+                assert all(p.poll() is None for p in procs), "a racer died early"
+                time.sleep(0.01)
+            go.touch()
+            outputs = [p.communicate(timeout=600) for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        for p, (out, err) in zip(procs, outputs):
+            assert p.returncode == 0, err
+
+        reports = [out.split() for out, _ in outputs]
+        assert sum(int(r[1]) for r in reports) == 1  # one build among all
+        clear_memory_cache()
+        clear_operator_memory_cache()
+        serial = cache_digest(Mesh.build(3), use_disk=False)
+        assert {r[0] for r in reports} == {serial}
+
+        archives = [mesh_cache_path(3)]
+        archives += sorted((cache / "operators").glob("*.npz"))
+        assert len(archives) > 1
+        for path in archives:
+            assert verify(path) is True, path.name
+        assert not list(cache.rglob("*.tmp"))
+        assert not (cache / QUARANTINE_DIRNAME).exists()
+        assert cache_digest(Mesh.load(archives[0]), use_disk=False) == serial

@@ -222,14 +222,28 @@ class TestAcceptanceRun:
         assert np.array_equal(result.state.u, galewsky_states["u"])
 
     def test_split_bitwise(self, mesh3, galewsky_states):
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
         labels = ("A1", "A2", "A3", "A4", "B2", "D1", "E1", "F1", "G1", "H1")
         placements = {
             lab: Placement(device="split", cpu_fraction=0.43) for lab in labels
         }
-        with use_placements(placements):
-            result = self._run(mesh3, galewsky_states["dt"])
+        with use_registry(MetricsRegistry()) as metrics:
+            with use_placements(placements):
+                result = self._run(mesh3, galewsky_states["dt"])
         assert np.array_equal(result.state.h, galewsky_states["h"])
         assert np.array_equal(result.state.u, galewsky_states["u"])
+        # Split placements skip the plan: every split label ran through the
+        # registry's split dispatch, and no fused segment ran at all.
+        split_ops = {
+            s.tags["op"]
+            for s in metrics.series("engine.split.band_points")
+            if s.value > 0
+        }
+        reg = default_registry()
+        for lab in labels:
+            assert any(reg.op(op).pattern == lab for op in split_ops), lab
+        assert not metrics.series("engine.plan")
 
     def test_pool_bitwise(self, mesh3, galewsky_states):
         result = self._run(
@@ -323,8 +337,14 @@ class TestOverlapSplit:
         return lm, rings, (cell_idx, edge_idx), fresh, stale, f_vertex
 
     @pytest.mark.parametrize(
-        "kw", [dict(), dict(thickness_adv_order=4, viscosity=1.0e4)],
-        ids=["default", "order4_viscous"],
+        "kw",
+        [
+            dict(),
+            dict(thickness_adv_order=4, viscosity=1.0e4),
+            dict(thickness_adv_order=3),
+            dict(apvm_upwinding=0.0),
+        ],
+        ids=["default", "order4_viscous", "order3_upwind", "no_apvm"],
     )
     def test_split_bitwise_equals_full_plan(self, mesh3, plan_cache, kw):
         from repro.engine.plan import compiled_overlap
