@@ -63,7 +63,9 @@ reused across calls (safe: every consumer reads them before the next
 ``tend`` call, and ``enforce_boundary_edge`` mutating them in place is the
 contract); Diagnostics and Reconstruction outputs are freshly allocated
 per call because callers retain them (run results, watchdogs, rollback
-checkpoints).  A plan is not re-entrant across threads.
+checkpoints).  The ``B1`` stage shares its gather scratch with the
+mesh's numpy op (:func:`repro.swm.operators.coriolis_gather`).  A plan is
+not re-entrant across threads.
 
 Batched plans
 -------------
@@ -76,8 +78,11 @@ does, per column — so **column k of a batched stage is bitwise identical
 to the serial stage applied to column k**, which is the foundation the
 ensemble engine (:mod:`repro.ensemble`) builds its per-member
 reproducibility contract on.  The one non-linear stage
-(``coriolis_edge_term``) loops over members on contiguous column copies;
-the ``E1`` stability check flags diverging members into a caller-provided
+(``coriolis_edge_term``) runs the serial kernel
+(:class:`repro.swm.operators.CoriolisGather`) once per member on that
+member's columns (the PV column copied contiguous for the gathers), so it
+is per-column bitwise too; the block never goes through a 2-D take.  The
+``E1`` stability check flags diverging members into a caller-provided
 mask instead of raising, so one poisoned member cannot stall the batch.
 Batched plans are memoized next to the serial ones, keyed by
 ``plan_key(config) + (batch,)``.
@@ -531,10 +536,9 @@ class _Compiler:
         "E1", "F1", "G1", "A4", "X6",
     )
 
-    def __init__(self, mesh, config, registry, batch: int = 0) -> None:
+    def __init__(self, mesh, config, batch: int = 0) -> None:
         self.mesh = mesh
         self.config = config
-        self.registry = registry
         #: 0 compiles the serial plan; N > 0 compiles over (n, N) blocks.
         self.batch = int(batch)
         #: Variable -> bool mask of rows a halo refresh invalidates, or
@@ -556,8 +560,7 @@ class _Compiler:
         self._v1 = np.zeros(shape(n_vertices))
         if config.thickness_adv_order > 2:
             self._d2 = self.buffers["d2"] = np.zeros(shape(2 * n_edges))
-        if self.batch:
-            self._q = np.zeros(shape(n_edges))
+        self._q = np.zeros(shape(n_edges))
 
     def _shape(self, n: int):
         return (n, self.batch) if self.batch else (n,)
@@ -650,29 +653,23 @@ class _Compiler:
 
             return [PlanStage("freeze_u", freeze, kind="elementwise")]
 
-        coriolis = self.registry.op("coriolis_edge_term").impls["numpy"]
+        from ..swm.operators import coriolis_gather
+
+        gather, q = coriolis_gather(self.mesh), self._q
         if self.batch:
-            # The one non-linear stage: loop members over contiguous column
-            # copies of the serial numpy kernel, so each column stays
-            # bitwise identical to the serial stage.
-            n_members, q = self.batch, self._q
+            # The one non-linear stage: the serial kernel once per member,
+            # on that member's columns, so each column stays bitwise
+            # identical to the serial stage.
+            n_members = self.batch
 
             def cor(ctx):
-                mesh = ctx["mesh"]
                 u, h_edge, pv_edge = ctx["u"], ctx["h_edge"], ctx["pv_edge"]
                 for k in range(n_members):
-                    q[:, k] = coriolis(
-                        mesh,
-                        np.ascontiguousarray(u[:, k]),
-                        np.ascontiguousarray(h_edge[:, k]),
-                        np.ascontiguousarray(pv_edge[:, k]),
-                    )
+                    gather(u[:, k], h_edge[:, k], pv_edge[:, k], q[:, k])
                 ctx["q"] = q
         else:
             def cor(ctx):
-                ctx["q"] = coriolis(
-                    ctx["mesh"], ctx["u"], ctx["h_edge"], ctx["pv_edge"]
-                )
+                ctx["q"] = gather(ctx["u"], ctx["h_edge"], ctx["pv_edge"], q)
 
         stages = [
             PlanStage(
@@ -1012,7 +1009,7 @@ class OverlapDiagnostics(_Program):
             self._run(self._boundary, ctx)
 
 
-def compile_overlap(local_mesh, config, rings: int, registry=None) -> OverlapDiagnostics:
+def compile_overlap(local_mesh, config, rings: int) -> OverlapDiagnostics:
     """Compile the interior/boundary diagnostics pair for one local mesh.
 
     ``rings`` is the halo-ring depth the surrounding exchange refreshes
@@ -1022,20 +1019,18 @@ def compile_overlap(local_mesh, config, rings: int, registry=None) -> OverlapDia
     """
     from ..dataflow.schedule import schedule_substep
     from ..parallel.halo import ring_halo_indices
-    from .registry import default_registry
 
     if config.backend != "sparse":
         raise ValueError(
             "overlap programs require backend='sparse' "
             f"(got backend={config.backend!r})"
         )
-    reg = registry if registry is not None else default_registry()
     cell_idx, edge_idx = ring_halo_indices(local_mesh, rings)
     cell_mask = np.zeros(local_mesh.nCells, dtype=bool)
     cell_mask[cell_idx] = True
     edge_mask = np.zeros(local_mesh.nEdges, dtype=bool)
     edge_mask[edge_idx] = True
-    comp = _Compiler(local_mesh, config, reg)
+    comp = _Compiler(local_mesh, config)
     sched1 = schedule_substep(config, stage=1)
     interior = comp.compile_kernel(sched1, "compute_solve_diagnostics")
     boundary = comp.compile_boundary(sched1, cell_mask, edge_mask)
@@ -1054,7 +1049,7 @@ _OVERLAPS: "weakref.WeakKeyDictionary[object, dict[tuple, OverlapDiagnostics]]" 
 )
 
 
-def compiled_overlap(local_mesh, config, rings: int, registry=None) -> OverlapDiagnostics:
+def compiled_overlap(local_mesh, config, rings: int) -> OverlapDiagnostics:
     """The memoized overlap program for ``(local_mesh, config, rings)``."""
     per_mesh = _OVERLAPS.get(local_mesh)
     if per_mesh is None:
@@ -1063,13 +1058,13 @@ def compiled_overlap(local_mesh, config, rings: int, registry=None) -> OverlapDi
     key = plan_key(config) + (int(rings),)
     ov = per_mesh.get(key)
     if ov is None:
-        ov = compile_overlap(local_mesh, config, rings, registry=registry)
+        ov = compile_overlap(local_mesh, config, rings)
         per_mesh[key] = ov
         get_registry().counter("engine.plan.compile_overlap").inc()
     return ov
 
 
-def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
+def compile_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
     """Compile the fused :class:`ExecutionPlan` for ``(mesh, config)``.
 
     Requires ``config.backend == "sparse"`` (the plan closes over the CSR
@@ -1079,7 +1074,6 @@ def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     kernels call.
     """
     from ..dataflow.schedule import schedule_substep
-    from .registry import default_registry
 
     if config.backend != "sparse":
         raise ValueError(
@@ -1088,11 +1082,10 @@ def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
         )
     if int(batch) < 0:
         raise ValueError(f"batch must be >= 0 (0 compiles serial), got {batch!r}")
-    reg = registry if registry is not None else default_registry()
     bad = unplanned_labels(config)
     if bad:
         raise KeyError(f"unplannable Table I labels: {sorted(bad)}")
-    comp = _Compiler(mesh, config, reg, batch=batch)
+    comp = _Compiler(mesh, config, batch=batch)
     sched1 = schedule_substep(config, stage=1)
     sched4 = schedule_substep(config, stage=4)
     tend = comp.compile_kernel(sched1, "compute_tend")
@@ -1115,7 +1108,7 @@ _PLANS: "weakref.WeakKeyDictionary[object, dict[tuple, ExecutionPlan]]" = (
 )
 
 
-def compiled_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
+def compiled_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
     """The memoized plan for ``(mesh, config)``, compiled at most once.
 
     Keyed by :func:`plan_key` (plus the batch width), so a config mutation
@@ -1131,7 +1124,7 @@ def compiled_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     key = plan_key(config) + (int(batch),)
     plan = plans.get(key)
     if plan is None:
-        plan = compile_plan(mesh, config, registry=registry, batch=batch)
+        plan = compile_plan(mesh, config, batch=batch)
         plans[key] = plan
         get_registry().counter("engine.plan.compile").inc()
     return plan

@@ -165,7 +165,7 @@ def _compile_tangential_velocity(mesh: Mesh) -> sp.csr_matrix:
 
     p = plan_for(mesh)
     valid = mesh.trisk.edgesOnEdge >= 0
-    return _lanes_csr(mesh.nEdges, p.eoe_safe, p.woe, valid)
+    return _lanes_csr(mesh.nEdges, p.eoe_T.T, p.woe_T.T, valid)
 
 
 def _compile_cell_to_edge_mean(mesh: Mesh) -> sp.csr_matrix:

@@ -52,7 +52,6 @@ class BatchedIntegrator:
         b_cell: np.ndarray,
         f_vertex: np.ndarray,
         n_members: int,
-        registry=None,
     ) -> None:
         if config.backend != "sparse":
             raise ValueError(
@@ -71,7 +70,6 @@ class BatchedIntegrator:
         if self.f_vertex.shape != (mesh.nVertices,):
             raise ValueError("f_vertex must have shape (nVertices,)")
         self.boundary_mask = np.zeros(mesh.nEdges, dtype=bool)
-        self._registry = registry
         # Warm the batched plan up front, like RK4Integrator does for
         # plan=True runs, so step one is not a compile.
         self._plan()
@@ -80,9 +78,7 @@ class BatchedIntegrator:
         # Looked up per use (not cached on self): a config mutation such as
         # a rollback halving dt maps to a different plan key and must
         # recompile transparently, mirroring RK4Integrator.
-        return compiled_plan(
-            self.mesh, self.config, registry=self._registry, batch=self.n_members
-        )
+        return compiled_plan(self.mesh, self.config, batch=self.n_members)
 
     def diagnostics_for(
         self, state: State, unstable: np.ndarray | None = None

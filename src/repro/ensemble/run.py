@@ -161,7 +161,6 @@ class EnsembleRun:
         case: TestCase,
         config: SWConfig,
         initial_states: list[State] | None = None,
-        registry=None,
     ) -> None:
         if config.ensemble < 1:
             raise ValueError(
@@ -176,7 +175,6 @@ class EnsembleRun:
         self.mesh = mesh
         self.case = case
         self.config = config
-        self.registry = registry
         self._explicit_states = initial_states
 
     # ------------------------------------------------------------- plumbing
@@ -253,9 +251,7 @@ class EnsembleRun:
         n = config.ensemble
         states, b = self._member_states()
         f_vertex = self._f_vertex()
-        integ = BatchedIntegrator(
-            self.mesh, config, b, f_vertex, n, registry=self.registry
-        )
+        integ = BatchedIntegrator(self.mesh, config, b, f_vertex, n)
         packed = State.stack(states)
         unstable = np.zeros(n, dtype=bool)
         diag = integ.diagnostics_for(packed, unstable=unstable)
@@ -419,7 +415,6 @@ def run_ensemble(
     steps: int,
     invariant_interval: int = 0,
     initial_states: list[State] | None = None,
-    registry=None,
 ) -> EnsembleResult:
     """Build and execute one :class:`EnsembleRun` (the package-level entry).
 
@@ -427,5 +422,5 @@ def run_ensemble(
     is :func:`repro.api.run_ensemble`.
     """
     return EnsembleRun(
-        mesh, case, config, initial_states=initial_states, registry=registry
+        mesh, case, config, initial_states=initial_states
     ).execute(steps, invariant_interval=invariant_interval)

@@ -24,6 +24,7 @@ __all__ = [
     "cell_from_vertices_kite_loop",
     "flux_divergence_scatter",
     "coriolis_edge_term_loop",
+    "coriolis_edge_term_vectorized",
     "cell_to_edge_mean_loop",
     "vertex_to_edge_mean_loop",
     "edge_gradient_of_cell_loop",
@@ -149,6 +150,26 @@ def coriolis_edge_term_loop(
             )
         out[e] = acc
     return out
+
+
+def coriolis_edge_term_vectorized(
+    mesh: Mesh, u_edge: np.ndarray, h_edge: np.ndarray, pv_edge: np.ndarray
+) -> np.ndarray:
+    """The readable gather form of the Coriolis/PV term: the bitwise oracle.
+
+    Fancy-index gathers into fresh ``(nEdges, K)`` temporaries and one
+    ``np.sum`` row reduction.  The production kernel
+    (:class:`repro.swm.operators.CoriolisGather`) must equal it bit for
+    bit; :func:`coriolis_edge_term_loop` sums in a different order and
+    agrees only to round-off.
+    """
+    eoe, woe = mesh.trisk.edgesOnEdge, mesh.trisk.weightsOnEdge
+    eoe_safe = np.where(eoe >= 0, eoe, 0)
+    flux = u_edge * h_edge
+    gathered_flux = flux[eoe_safe]
+    gathered_pv = pv_edge[eoe_safe]
+    avg_pv = 0.5 * (pv_edge[:, None] + gathered_pv)
+    return np.sum(woe * gathered_flux * avg_pv, axis=1)
 
 
 def cell_to_edge_mean_loop(mesh: Mesh, phi_cell: np.ndarray) -> np.ndarray:

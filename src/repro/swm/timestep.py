@@ -129,7 +129,7 @@ class RK4Integrator:
         if config.plan:
             # Compile (and warm the cache for) the fused plan up front so
             # the first step does not pay compilation inside the timed loop.
-            compiled_plan(mesh, config, registry=registry)
+            compiled_plan(mesh, config)
 
     # The halo-exchange hook lets the distributed driver reuse this exact
     # integrator; serial runs leave it as a no-op.  ``sync`` names the

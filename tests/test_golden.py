@@ -22,6 +22,12 @@ intended change regenerates the registry with::
 (or ``python -m repro golden regen``).  The resumed-run check closes the
 durability loop: a run interrupted mid-trajectory and resumed must
 reproduce the golden invariants exactly from its restart point onward.
+
+One cell pins the contract at the size the performance work targets:
+``galewsky_jet-l5-sparse.json`` is a 3-step Galewsky run on the level-5
+mesh (10,242 cells), checked serially (sparse and fused plan) and on a
+two-rank dataflow pool, so a kernel rewrite cannot hide drift that only
+shows at scale.
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ MODES = {
 
 KEYS = ("mass", "total_energy", "potential_enstrophy")
 
+#: The at-scale cell: one case, one level-5 trajectory file.
+SCALE_CASE = "galewsky_jet"
+SCALE_LEVEL = 5
+SCALE_STEPS = 3
+
 
 def skip_reason(case: str, backend: str, mode: str) -> str | None:
     """Why a matrix cell does not run, or ``None`` if it does.
@@ -91,6 +102,7 @@ def expected_golden_files() -> set[str]:
         for backend in BACKENDS
     }
     files.add(f"galewsky_jet-l{LEVEL}-ensemble.json")
+    files.add(f"{SCALE_CASE}-l{SCALE_LEVEL}-sparse.json")
     return files
 
 
@@ -111,12 +123,12 @@ def _trajectory(result) -> dict[str, list[str]]:
     }
 
 
-def _golden_path(case: str, backend: str) -> Path:
-    return GOLDEN_DIR / f"{case}-l{LEVEL}-{backend}.json"
+def _golden_path(case: str, backend: str, level: int = LEVEL) -> Path:
+    return GOLDEN_DIR / f"{case}-l{level}-{backend}.json"
 
 
-def _load_golden(case: str, backend: str) -> dict:
-    path = _golden_path(case, backend)
+def _load_golden(case: str, backend: str, level: int = LEVEL) -> dict:
+    path = _golden_path(case, backend, level)
     if not path.exists():
         pytest.fail(
             f"missing golden file {path}; regenerate the registry with "
@@ -132,6 +144,41 @@ def _mismatches(payload: dict, golden: dict) -> list[str]:
     return bad
 
 
+def _serial_payload(case: str, level: int, steps: int, config, result) -> dict:
+    return {
+        "case": case,
+        "level": level,
+        "steps": steps,
+        "cfl": scenario(case).suggested_cfl,
+        "dt": float.hex(config.dt),
+        **_trajectory(result),
+    }
+
+
+def _pin_or_check(case: str, backend: str, payload: dict, level: int = LEVEL) -> None:
+    """Write ``payload`` as the golden file when regenerating, else compare."""
+    if REGEN:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        _golden_path(case, backend, level).write_text(
+            json.dumps(payload, indent=2) + "\n"
+        )
+        return
+    bad = _mismatches(payload, _load_golden(case, backend, level))
+    assert not bad, (
+        f"{bad} deviate from tests/golden for case {case!r} backend "
+        f"{backend!r} level {level}; if the numerics change is intended, "
+        f"regenerate with REPRO_GOLDEN_REGEN=1"
+    )
+
+
+def _assert_endpoints(got: dict, golden: dict, label: str) -> None:
+    """A decomposed run's ``[start, end]`` invariants equal the serial ends."""
+    for key in KEYS:
+        assert len(got[key]) == 2
+        assert got[key][0] == golden[key][0], f"{label} initial {key} deviates"
+        assert got[key][-1] == golden[key][-1], f"{label} final {key} deviates"
+
+
 class TestGoldenMatrix:
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -141,26 +188,8 @@ class TestGoldenMatrix:
             case, mesh=mesh3, config=config, steps=STEPS,
             invariant_interval=1,
         )
-        payload = {
-            "case": case,
-            "level": LEVEL,
-            "steps": STEPS,
-            "cfl": scenario(case).suggested_cfl,
-            "dt": float.hex(config.dt),
-            **_trajectory(result),
-        }
-        if REGEN:
-            GOLDEN_DIR.mkdir(exist_ok=True)
-            _golden_path(case, backend).write_text(
-                json.dumps(payload, indent=2) + "\n"
-            )
-            return
-        golden = _load_golden(case, backend)
-        bad = _mismatches(payload, golden)
-        assert not bad, (
-            f"{bad} deviate from tests/golden for case {case!r} backend "
-            f"{backend!r}; if the numerics change is intended, regenerate "
-            f"with REPRO_GOLDEN_REGEN=1"
+        _pin_or_check(
+            case, backend, _serial_payload(case, LEVEL, STEPS, config, result)
         )
 
     @pytest.mark.parametrize("case", CASES)
@@ -184,16 +213,8 @@ class TestGoldenMatrix:
         golden = _load_golden(case, backend)
         config = _config(case, mesh3, backend, **MODES[mode])
         result = run(case, mesh=mesh3, config=config, steps=STEPS)
-        got = _trajectory(result)
         assert float.hex(config.dt) == golden["dt"], "time step drifted"
-        for key in KEYS:
-            assert len(got[key]) == 2
-            assert got[key][0] == golden[key][0], (
-                f"{mode} initial {key} deviates from serial for {case!r}"
-            )
-            assert got[key][-1] == golden[key][-1], (
-                f"{mode} final {key} deviates from serial for {case!r}"
-            )
+        _assert_endpoints(_trajectory(result), golden, f"{mode} {case!r}")
 
     @pytest.mark.parametrize("case", CASES)
     def test_backends_share_one_trajectory(self, case):
@@ -268,19 +289,7 @@ class TestGoldenEnsembleAndResume:
                 for i in ens.mean_invariants()
             ],
         }
-        if REGEN:
-            GOLDEN_DIR.mkdir(exist_ok=True)
-            _golden_path("galewsky_jet", "ensemble").write_text(
-                json.dumps(payload, indent=2) + "\n"
-            )
-            return
-        golden = _load_golden("galewsky_jet", "ensemble")
-        bad = _mismatches(payload, golden)
-        assert not bad, (
-            f"ensemble-mean {bad} deviate from tests/golden; if the "
-            f"numerics change is intended, regenerate with "
-            f"REPRO_GOLDEN_REGEN=1"
-        )
+        _pin_or_check("galewsky_jet", "ensemble", payload)
 
     def test_resumed_run_matches_golden(self, mesh3, tmp_path):
         """Interrupt at step 6, resume: invariants rejoin the golden tail."""
@@ -306,3 +315,44 @@ class TestGoldenEnsembleAndResume:
         assert start == 4
         for key in KEYS:
             assert tail[key] == golden[key][start:], key
+
+
+@pytest.fixture(scope="module")
+def mesh5():
+    """10,242-cell SCVT mesh (icosahedral level 5, Lloyd-relaxed)."""
+    from repro.mesh import cached_mesh
+
+    return cached_mesh(SCALE_LEVEL)
+
+
+@pytest.mark.slow
+class TestGoldenAtScale:
+    """The level-5 cell: sparse and plan serial, pool-dataflow endpoints."""
+
+    @pytest.mark.parametrize("backend", ["sparse", "plan"])
+    def test_serial_matches_golden(self, mesh5, backend):
+        if REGEN and backend != "sparse":
+            pytest.skip("regenerating (the sparse cell writes the file)")
+        config = _config(SCALE_CASE, mesh5, backend)
+        result = run(
+            SCALE_CASE, mesh=mesh5, config=config, steps=SCALE_STEPS,
+            invariant_interval=1,
+        )
+        # The plan is bitwise the sparse backend: both check one file.
+        payload = _serial_payload(
+            SCALE_CASE, SCALE_LEVEL, SCALE_STEPS, config, result
+        )
+        _pin_or_check(SCALE_CASE, "sparse", payload, SCALE_LEVEL)
+
+    @pytest.mark.parametrize("backend", ["sparse", "plan"])
+    def test_pool_dataflow_matches_golden_endpoints(self, mesh5, backend):
+        if REGEN:
+            pytest.skip("regenerating (serial cells write the files)")
+        golden = _load_golden(SCALE_CASE, "sparse", SCALE_LEVEL)
+        config = _config(
+            SCALE_CASE, mesh5, backend, parallel="pool", ranks=2,
+            halo_schedule="dataflow",
+        )
+        result = run(SCALE_CASE, mesh=mesh5, config=config, steps=SCALE_STEPS)
+        assert float.hex(config.dt) == golden["dt"], "time step drifted"
+        _assert_endpoints(_trajectory(result), golden, f"pool-dataflow {backend}")

@@ -51,6 +51,13 @@ class TestOperators:
         worst = max(abs(w + table.get((ep, e), 0.0)) for (e, ep), w in table.items())
         assert worst < 1e-12
 
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "special"])
+    def test_coriolis_matches_oracle_bitwise(self, random_mesh, rng, special):
+        """K = 12 here (heptagons): the B1 kernel still equals its oracle."""
+        from tests.test_coriolis_gather import assert_matches_oracle
+
+        assert_matches_oracle(random_mesh, rng, special)
+
     def test_divergence_theorem(self, random_mesh, rng):
         from repro.swm.operators import cell_divergence
 

@@ -94,6 +94,13 @@ class TestRefinedMesh:
         assert res.mass_drift() < 1e-13
         assert model.exact_error().l2 < 5e-3
 
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "special"])
+    def test_coriolis_matches_oracle_bitwise(self, refined_mesh, rng, special):
+        """The graded mesh's B1 kernel equals its oracle bit for bit."""
+        from tests.test_coriolis_gather import assert_matches_oracle
+
+        assert_matches_oracle(refined_mesh, rng, special)
+
     def test_patterns_resolution_agnostic(self, refined_mesh, rng):
         """The pattern kernels run unchanged on the graded mesh and keep
         their invariants (the paper's machinery is mesh-general)."""
